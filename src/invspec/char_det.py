@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polynomial, Tolerances, as_finite_complex, as_finite_float, poly_eval
+from .core import Polynomial, Tolerances, as_finite_complex, as_finite_float, horner, poly_eval
 from .errors import (
     BoundaryZeroError,
     InputError,
@@ -213,31 +213,32 @@ def delta_eval(prob: BoundaryPolynomialProblem, lam: complex) -> complex:
     return first + a_val * (-cmath.exp(2.0 * lam) + 2.0 * cmath.exp(lam))
 
 
-def delta_scaled_eval(prob: BoundaryPolynomialProblem, lam: complex) -> complex:
+def _with_exp_neg(lam):
+    """lam and e^{-lam}; scalars take cmath.exp, far cheaper than np.exp per point."""
+    if isinstance(lam, np.ndarray):
+        return lam, np.exp(-lam)
+    lam = complex(lam)
+    return lam, cmath.exp(-lam)
+
+
+def delta_scaled_eval(prob: BoundaryPolynomialProblem, lam):
     """Overflow-safe scaled determinant dhat = lam e^{-2 lam} delta.
 
     Zeros in the punctured plane coincide with zeros of delta with equal
-    multiplicities; dhat(0) = 0 is artificial and always excluded.
+    multiplicities; dhat(0) = 0 is artificial and always excluded.  Takes
+    a complex scalar or a numpy array of points.
     """
-    lam = complex(lam)
-    em = cmath.exp(-lam)
-    return (1.0 - em) + lam * poly_eval(prob.poly, lam) * (2.0 * em - 1.0)
+    lam, em = _with_exp_neg(lam)
+    return (1.0 - em) + lam * horner(prob.poly.coeffs, lam) * (2.0 * em - 1.0)
 
 
-def _delta_scaled_vec(prob: BoundaryPolynomialProblem, zs: np.ndarray) -> np.ndarray:
-    em = np.exp(-zs)
-    acc = np.zeros_like(zs)
-    for c in reversed(prob.poly.coeffs):
-        acc = acc * zs + c
-    return (1.0 - em) + zs * acc * (2.0 * em - 1.0)
-
-
-def delta_deriv(prob: BoundaryPolynomialProblem, lam: complex) -> complex:
-    """Analytic derivative of the scaled determinant."""
-    lam = complex(lam)
-    em = cmath.exp(-lam)
-    a_val = poly_eval(prob.poly, lam)
-    ap_val = poly_eval(prob.poly.derivative(), lam)
+def delta_deriv(prob: BoundaryPolynomialProblem, lam):
+    """Analytic derivative of the scaled determinant, at a scalar or an array."""
+    lam, em = _with_exp_neg(lam)
+    coeffs = prob.poly.coeffs
+    a_val = horner(coeffs, lam)
+    # A' without Polynomial.derivative(), whose validation cost more than dhat' itself
+    ap_val = horner([k * c for k, c in enumerate(coeffs)][1:], lam)
     return em + (a_val + lam * ap_val) * (2.0 * em - 1.0) - 2.0 * lam * a_val * em
 
 
@@ -259,17 +260,6 @@ def _edge_points(box: SearchBox, samples_per_unit: float):
     return np.concatenate(pts)
 
 
-def _delta_deriv_vec(prob: BoundaryPolynomialProblem, zs: np.ndarray) -> np.ndarray:
-    em = np.exp(-zs)
-    a_val = np.zeros_like(zs)
-    for c in reversed(prob.poly.coeffs):
-        a_val = a_val * zs + c
-    ap_val = np.zeros_like(zs)
-    for k in range(len(prob.poly.coeffs) - 1, 0, -1):
-        ap_val = ap_val * zs + k * prob.poly.coeffs[k]
-    return em + (a_val + zs * ap_val) * (2.0 * em - 1.0) - 2.0 * zs * a_val * em
-
-
 def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolerances) -> int:
     """Winding number of dhat along the box boundary (argument principle).
 
@@ -282,11 +272,11 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolera
     """
     floor = tol.residual_tol
     pts = _edge_points(box, samples_per_unit=8.0)
-    vals = _delta_scaled_vec(prob, pts)
+    vals = delta_scaled_eval(prob, pts)
     mags = np.abs(vals)
     if (mags <= floor).any():
         raise BoundaryZeroError(complex(pts[int(np.argmin(mags))]))
-    ders = np.abs(_delta_deriv_vec(prob, pts))
+    ders = np.abs(delta_deriv(prob, pts))
 
     total = 0.0
     stack = []
@@ -460,7 +450,9 @@ def find_det_eigenvalues(
     out = []
     for z, m in roots:
         residual = abs(delta_scaled_eval(prob, z))
-        bound = tol.residual_tol * (1.0 + abs(z * poly_eval(prob.poly, z)))
+        # dhat's terms carry e^{-z}, which grows left of the imaginary axis
+        growth = max(1.0, math.exp(-z.real))
+        bound = tol.residual_tol * (1.0 + abs(z * poly_eval(prob.poly, z))) * growth
         if residual > bound:
             raise NumericalError(
                 f"root {z!r} has residual {residual:.3e} above its bound {bound:.3e}"

@@ -1,21 +1,27 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 numerical failure (with diagnostic), 2 invalid
-input (bad arguments or malformed files).
+Each command writes its JSON document to --out, or to stdout when --out is
+not given, and its one-line summary to stderr, so stdout always parses as
+JSON (`compare` alone prints its report lines to stdout).
+
+Exit codes: 0 success, 1 numerical failure or empty result (with
+diagnostic), 2 invalid input (bad arguments or malformed files).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
 from .core import Polynomial, Spectrum, Tolerances
 from .errors import InputError, NumericalError
 from .fileio import (
+    dump_json,
     emit_report,
     emit_spectrum,
+    load_potential,
     load_spectrum,
     reports_to_csv,
     save_text,
@@ -30,11 +36,11 @@ from .workbench import (
     DEFAULT_BOX,
     ExperimentConfig,
     compare_neumann,
+    neumann_to_spectrum,
     roundtrip,
     run_seeded_suite,
+    uniqueness_probe,
 )
-from .fileio import load_potential
-from .workbench import uniqueness_probe
 
 
 def _parse_coeffs(text: str) -> Polynomial:
@@ -61,20 +67,20 @@ def _parse_box(text: str) -> SearchBox:
     return SearchBox(*vals)
 
 
-def _emit_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(path, text: str) -> None:
+    """A command's document: to the file at path, or to stdout without one."""
+    if path:
+        save_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_eigen(args) -> int:
     q = load_potential(args.potential)
     tol = Tolerances(eig_tol=args.tol) if args.tol else Tolerances()
     spec = neumann_eigenvalues(q, args.count, tol)
-    doc = emit_spectrum(Spectrum(tuple((complex(v), 1) for v in spec.values)))
-    if args.out:
-        save_text(args.out, doc)
-    else:
-        sys.stdout.write(doc)
-    print(f"computed {len(spec)} eigenvalues; lowest {spec.values[0]:.12g}")
+    _write(args.out, emit_spectrum(neumann_to_spectrum(spec)))
+    print(f"computed {len(spec)} eigenvalues; lowest {spec.values[0]:.12g}", file=sys.stderr)
     return 0
 
 
@@ -82,17 +88,15 @@ def _cmd_det_roots(args) -> int:
     poly = _parse_coeffs(args.coeffs)
     box = _parse_box(args.box)
     roots = find_det_eigenvalues(BoundaryPolynomialProblem(poly), box, args.max_roots)
-    entries = tuple((r.value, r.multiplicity) for r in roots)
-    if not entries:
+    if not roots:
         # an empty spectrum has no valid file form (schema requires >= 1 entry)
-        print("no determinant zeros inside the box; no output written")
-        return 0
-    doc = emit_spectrum(Spectrum(entries))
-    if args.out:
-        save_text(args.out, doc)
-    else:
-        sys.stdout.write(doc)
-    print(f"found {len(roots)} zeros, multiplicity sum {sum(r.multiplicity for r in roots)}")
+        print("no determinant zeros inside the box; no output written", file=sys.stderr)
+        return 1
+    _write(args.out, emit_spectrum(Spectrum(tuple((r.value, r.multiplicity) for r in roots))))
+    print(
+        f"found {len(roots)} zeros, multiplicity sum {sum(r.multiplicity for r in roots)}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -100,7 +104,7 @@ def _cmd_reconstruct(args) -> int:
     spectrum = load_spectrum(args.eigs)
     nodes = select_reconstruction_nodes(spectrum.values, args.degree)
     rec = reconstruct_coeffs(ReconstructionInput(nodes, args.degree))
-    doc = _emit_json(
+    doc = dump_json(
         {
             "recovered": [
                 c.real if c.imag == 0.0 else {"re": c.real, "im": c.imag}
@@ -111,11 +115,11 @@ def _cmd_reconstruct(args) -> int:
             "nodes": [{"re": z.real, "im": z.imag} for z in nodes],
         }
     )
-    if args.out:
-        save_text(args.out, doc)
-    else:
-        sys.stdout.write(doc)
-    print(f"recovered degree-{args.degree} coefficients; condition {rec.vandermonde_condition:.3e}")
+    _write(args.out, doc)
+    print(
+        f"recovered degree-{args.degree} coefficients; condition {rec.vandermonde_condition:.3e}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -137,14 +141,11 @@ def _cmd_roundtrip(args) -> int:
         poly = _parse_coeffs(args.coeffs)
         cfg = _make_config(args, poly.degree)
         report = roundtrip(poly, cfg)
-        doc = emit_report(report)
-        if args.out:
-            save_text(args.out, doc)
-        else:
-            sys.stdout.write(doc)
+        _write(args.out, emit_report(report))
         print(
             f"round trip: max coefficient error {report.max_coeff_error:.3e}, "
-            f"condition {report.condition:.3e}"
+            f"condition {report.condition:.3e}",
+            file=sys.stderr,
         )
         if args.csv:
             save_text(args.csv, reports_to_csv([report]))
@@ -158,13 +159,11 @@ def _cmd_roundtrip(args) -> int:
         trials=args.trials,
     )
     reports = run_seeded_suite(cfg)
-    payload = "[" + ",".join(emit_report(r).rstrip("\n") for r in reports) + "]\n"
-    if args.out:
-        save_text(args.out, payload)
+    _write(args.out, "[" + ",".join(emit_report(r).rstrip("\n") for r in reports) + "]\n")
     if args.csv:
         save_text(args.csv, reports_to_csv(reports))
     worst = max(r.max_coeff_error for r in reports)
-    print(f"{len(reports)} trials, worst coefficient error {worst:.3e}")
+    print(f"{len(reports)} trials, worst coefficient error {worst:.3e}", file=sys.stderr)
     return 0
 
 
@@ -173,21 +172,8 @@ def _cmd_uniqueness(args) -> int:
     pb = _parse_coeffs(args.coeffs_b)
     cfg = _make_config(args, max(pa.degree, pb.degree))
     report = uniqueness_probe(pa, pb, cfg)
-    doc = _emit_json(
-        {
-            "spectra_matched": report.spectra_matched,
-            "max_coeff_error_a": report.max_coeff_error_a,
-            "max_coeff_error_b": report.max_coeff_error_b,
-            "condition_a": report.condition_a,
-            "condition_b": report.condition_b,
-            "passed": report.passed,
-        }
-    )
-    if args.out:
-        save_text(args.out, doc)
-    else:
-        sys.stdout.write(doc)
-    print("uniqueness probe:", "PASS" if report.passed else "FAIL")
+    _write(args.out, dump_json(dataclasses.asdict(report)))
+    print(f"uniqueness probe: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -1,4 +1,4 @@
-"""Shared numeric domain types: polynomials, spectra, tolerances.
+"""Shared numeric domain types: polynomials, spectra, tolerances, reports.
 
 Everything here is an immutable value object; all operations are pure
 functions of their inputs and safe for concurrent use.
@@ -13,8 +13,10 @@ from .errors import DegreeMismatchError, InputError
 
 __all__ = [
     "Polynomial",
+    "RoundTripReport",
     "Spectrum",
     "Tolerances",
+    "horner",
     "poly_eval",
     "poly_max_abs_diff",
     "spectra_match",
@@ -80,13 +82,17 @@ class Polynomial:
         return Polynomial(tuple(x + y for x, y in zip(a, b)))
 
 
-def poly_eval(p: Polynomial, z) -> complex:
-    """Evaluate c_0 + c_1 z + ... + c_s z^s by the Horner recurrence."""
-    z = complex(z)
-    acc = 0j
-    for c in reversed(p.coeffs):
+def horner(coeffs, z):
+    """c_0 + c_1 z + ... + c_s z^s by the Horner recurrence; z a scalar or a numpy array."""
+    acc = 0 * z
+    for c in reversed(coeffs):
         acc = acc * z + c
     return acc
+
+
+def poly_eval(p: Polynomial, z) -> complex:
+    """Evaluate the polynomial at one point."""
+    return horner(p.coeffs, complex(z))
 
 
 def poly_max_abs_diff(p: Polynomial, q: Polynomial) -> float:
@@ -96,6 +102,26 @@ def poly_max_abs_diff(p: Polynomial, q: Polynomial) -> float:
             f"polynomials are incomparable: degrees {p.degree} != {q.degree}"
         )
     return max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs))
+
+
+@dataclass(frozen=True)
+class RoundTripReport:
+    """One recovery of known coefficients; in report files nodes_used is keyed "nodes"."""
+
+    true_coeffs: Polynomial
+    recovered: Polynomial
+    max_coeff_error: float
+    condition: float
+    nodes_used: tuple[complex, ...]
+    wall_time_ms: float
+
+    def __post_init__(self):
+        expected = poly_max_abs_diff(self.true_coeffs, self.recovered)
+        if self.max_coeff_error != expected:
+            raise InputError(
+                f"max_coeff_error {self.max_coeff_error!r} does not match the "
+                f"coefficient difference {expected!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .core import Polynomial, Spectrum
+from .core import Polynomial, RoundTripReport, Spectrum
 from .errors import InputError, SchemaError
 from .potentials import (
     ConstantPotential,
@@ -23,6 +22,7 @@ from .potentials import (
 )
 
 __all__ = [
+    "dump_json",
     "parse_potential",
     "emit_potential",
     "parse_spectrum",
@@ -43,7 +43,8 @@ def _load_json(text: str):
         raise SchemaError("$", f"not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
 
 
-def _dump(doc) -> str:
+def dump_json(doc) -> str:
+    """The canonical text of a document: indented, keys sorted, newline-ended."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -73,6 +74,13 @@ def _complex_in(value, path: str) -> complex:
         im = _real(value.get("im", 0.0), f"{path}.im")
         return complex(re, im)
     return complex(_real(value, path))
+
+
+def _complex_list(doc: dict, field: str, nonempty: bool = True) -> tuple[complex, ...]:
+    value = _require(doc, field, "$")
+    if not isinstance(value, list) or (nonempty and not value):
+        raise SchemaError(f"$.{field}", f"expected a {'nonempty ' if nonempty else ''}list")
+    return tuple(_complex_in(v, f"$.{field}[{i}]") for i, v in enumerate(value))
 
 
 def _complex_out(z: complex):
@@ -110,13 +118,13 @@ def parse_potential(text: str) -> Potential:
 
 def emit_potential(q: Potential) -> str:
     if isinstance(q, ConstantPotential):
-        return _dump({"kind": "constant", "c": q.value})
+        return dump_json({"kind": "constant", "c": q.value})
     if isinstance(q, GridPotential):
-        return _dump({"kind": "grid", "nodes": list(q.nodes), "values": list(q.values)})
+        return dump_json({"kind": "grid", "nodes": list(q.nodes), "values": list(q.values)})
     if isinstance(q, CosinePotential):
-        return _dump({"kind": "cosine", "amplitude": q.amplitude, "frequency": q.frequency})
+        return dump_json({"kind": "cosine", "amplitude": q.amplitude, "frequency": q.frequency})
     if isinstance(q, PolyPotential):
-        return _dump({"kind": "poly_in_x", "coeffs": list(q.coeffs)})
+        return dump_json({"kind": "poly_in_x", "coeffs": list(q.coeffs)})
     raise InputError(f"potential kind {q.kind!r} has no file representation")
 
 
@@ -155,67 +163,37 @@ def emit_spectrum(spectrum: Spectrum) -> str:
         if z.imag != 0.0:
             entry["im"] = z.imag
         entries.append(entry)
-    return _dump({"entries": entries})
+    return dump_json({"entries": entries})
 
 
 # -- round-trip report documents ----------------------------------------
 
-@dataclass(frozen=True)
-class ReportDoc:
-    """Parsed report: mirrors the round-trip report fields."""
-
-    true_coeffs: Polynomial
-    recovered: Polynomial
-    max_coeff_error: float
-    condition: float
-    nodes: tuple[complex, ...]
-    wall_time_ms: float
-
-
-def parse_report(text: str) -> ReportDoc:
+def parse_report(text: str) -> RoundTripReport:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "report document must be an object")
-    true_raw = _require(doc, "true_coeffs", "$")
-    rec_raw = _require(doc, "recovered", "$")
-    if not isinstance(true_raw, list) or not true_raw:
-        raise SchemaError("$.true_coeffs", "expected a nonempty list")
-    if not isinstance(rec_raw, list) or not rec_raw:
-        raise SchemaError("$.recovered", "expected a nonempty list")
-    true_coeffs = Polynomial(
-        tuple(_complex_in(v, f"$.true_coeffs[{i}]") for i, v in enumerate(true_raw))
-    )
-    recovered = Polynomial(
-        tuple(_complex_in(v, f"$.recovered[{i}]") for i, v in enumerate(rec_raw))
-    )
-    nodes_raw = _require(doc, "nodes", "$")
-    if not isinstance(nodes_raw, list):
-        raise SchemaError("$.nodes", "expected a list")
-    nodes = tuple(_complex_in(v, f"$.nodes[{i}]") for i, v in enumerate(nodes_raw))
-    return ReportDoc(
-        true_coeffs=true_coeffs,
-        recovered=recovered,
-        max_coeff_error=_real(_require(doc, "max_coeff_error", "$"), "$.max_coeff_error"),
-        condition=_real(_require(doc, "condition", "$"), "$.condition"),
-        nodes=nodes,
-        wall_time_ms=_real(_require(doc, "wall_time_ms", "$"), "$.wall_time_ms"),
-    )
+    true_coeffs = Polynomial(_complex_list(doc, "true_coeffs"))
+    recovered = Polynomial(_complex_list(doc, "recovered"))
+    nodes = _complex_list(doc, "nodes", nonempty=False)
+    max_coeff_error = _real(_require(doc, "max_coeff_error", "$"), "$.max_coeff_error")
+    condition = _real(_require(doc, "condition", "$"), "$.condition")
+    wall_time_ms = _real(_require(doc, "wall_time_ms", "$"), "$.wall_time_ms")
+    try:
+        return RoundTripReport(
+            true_coeffs, recovered, max_coeff_error, condition, nodes, wall_time_ms
+        )
+    except InputError as exc:
+        raise SchemaError("$.max_coeff_error", str(exc)) from exc
 
 
-def emit_report(report) -> str:
-    """Serialize anything with the report fields (ReportDoc or a RoundTripReport)."""
-    true_coeffs = getattr(report, "true_coeffs")
-    recovered = getattr(report, "recovered")
-    nodes = getattr(report, "nodes", None)
-    if nodes is None:
-        nodes = getattr(report, "nodes_used")
-    return _dump(
+def emit_report(report: RoundTripReport) -> str:
+    return dump_json(
         {
-            "true_coeffs": [_complex_out(c) for c in true_coeffs.coeffs],
-            "recovered": [_complex_out(c) for c in recovered.coeffs],
+            "true_coeffs": [_complex_out(c) for c in report.true_coeffs.coeffs],
+            "recovered": [_complex_out(c) for c in report.recovered.coeffs],
             "max_coeff_error": report.max_coeff_error,
             "condition": report.condition,
-            "nodes": [_complex_out(z) for z in nodes],
+            "nodes": [_complex_out(z) for z in report.nodes_used],
             "wall_time_ms": report.wall_time_ms,
         }
     )
@@ -254,9 +232,6 @@ def reports_to_csv(reports) -> str:
          "nodes", "wall_time_ms"]
     )
     for i, report in enumerate(reports):
-        nodes = getattr(report, "nodes", None)
-        if nodes is None:
-            nodes = getattr(report, "nodes_used")
         writer.writerow(
             [
                 i,
@@ -264,7 +239,7 @@ def reports_to_csv(reports) -> str:
                 _complex_cell(report.recovered.coeffs),
                 repr(report.max_coeff_error),
                 repr(report.condition),
-                _complex_cell(nodes),
+                _complex_cell(report.nodes_used),
                 repr(report.wall_time_ms),
             ]
         )

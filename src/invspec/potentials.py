@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_finite_float
+from .core import as_finite_float, horner
 from .errors import InputError
 
 __all__ = [
@@ -32,7 +32,8 @@ class Potential:
     kind = "abstract"
 
     def __call__(self, x: float) -> float:
-        raise NotImplementedError
+        """q(x) through the evaluator closure."""
+        return self.evaluator()(x)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a numpy array of abscissae."""
@@ -40,7 +41,7 @@ class Potential:
 
     def evaluator(self):
         """Fast scalar closure for the integrator inner loop."""
-        return self.__call__
+        raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior kink locations the integrator should land on exactly."""
@@ -54,10 +55,6 @@ class Potential:
         """A value <= min q(x); used to start eigenvalue bracketing."""
         raise NotImplementedError
 
-    def shifted(self, c: float) -> "Potential":
-        """The potential q(x) + c."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
@@ -67,9 +64,6 @@ class ConstantPotential(Potential):
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_finite_float(self.value, "constant value"))
-
-    def __call__(self, x: float) -> float:
-        return self.value
 
     def sample(self, xs):
         return np.full_like(np.asarray(xs, dtype=float), self.value)
@@ -83,9 +77,6 @@ class ConstantPotential(Potential):
 
     def lower_bound(self) -> float:
         return self.value
-
-    def shifted(self, c: float) -> "ConstantPotential":
-        return ConstantPotential(self.value + c)
 
 
 @dataclass(frozen=True)
@@ -115,17 +106,6 @@ class GridPotential(Potential):
                 raise InputError(f"nodes[{i}] = {nodes[i]} is not strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-
-    def __call__(self, x: float) -> float:
-        nodes, values = self.nodes, self.values
-        if x <= 0.0:
-            return values[0]
-        if x >= 1.0:
-            return values[-1]
-        i = bisect.bisect_right(nodes, x)
-        x0, x1 = nodes[i - 1], nodes[i]
-        v0, v1 = values[i - 1], values[i]
-        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
 
     def sample(self, xs):
         return np.interp(np.asarray(xs, dtype=float), self.nodes, self.values)
@@ -157,6 +137,7 @@ class GridPotential(Potential):
         return min(self.values)
 
     def shifted(self, c: float) -> "GridPotential":
+        """The potential q(x) + c."""
         return GridPotential(self.nodes, tuple(v + c for v in self.values))
 
 
@@ -178,9 +159,6 @@ class CosinePotential(Potential):
             raise InputError(f"frequency must be >= 0, got {k}")
         object.__setattr__(self, "frequency", int(k))
 
-    def __call__(self, x: float) -> float:
-        return self.amplitude * math.cos(TWO_PI * self.frequency * x)
-
     def sample(self, xs):
         return self.amplitude * np.cos(TWO_PI * self.frequency * np.asarray(xs, dtype=float))
 
@@ -199,46 +177,6 @@ class CosinePotential(Potential):
             return self.amplitude
         return -abs(self.amplitude)
 
-    def shifted(self, c: float) -> "Potential":
-        if self.frequency == 0:
-            return ConstantPotential(self.amplitude + c)
-        coeffs_like = _CosinePlusConstant(self.amplitude, self.frequency, c)
-        return coeffs_like
-
-
-@dataclass(frozen=True)
-class _CosinePlusConstant(Potential):
-    """Internal helper for shift tests: A cos(2 pi k x) + c."""
-
-    amplitude: float
-    frequency: int
-    offset: float
-
-    kind = "cosine+constant"
-
-    def __call__(self, x: float) -> float:
-        return self.amplitude * math.cos(TWO_PI * self.frequency * x) + self.offset
-
-    def sample(self, xs):
-        return (
-            self.amplitude * np.cos(TWO_PI * self.frequency * np.asarray(xs, dtype=float))
-            + self.offset
-        )
-
-    def evaluator(self):
-        a, w, c = self.amplitude, TWO_PI * self.frequency, self.offset
-        cos = math.cos
-        return lambda x: a * cos(w * x) + c
-
-    def total_variation(self) -> float:
-        return 4.0 * abs(self.amplitude) * self.frequency
-
-    def lower_bound(self) -> float:
-        return -abs(self.amplitude) + self.offset
-
-    def shifted(self, c: float) -> "Potential":
-        return _CosinePlusConstant(self.amplitude, self.frequency, self.offset + c)
-
 
 @dataclass(frozen=True)
 class PolyPotential(Potential):
@@ -256,20 +194,11 @@ class PolyPotential(Potential):
             raise InputError("polynomial potential needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sample(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        acc = np.zeros_like(xs)
-        for c in reversed(self.coeffs):
-            acc = acc * xs + c
-        return acc
+        return horner(self.coeffs, np.asarray(xs, dtype=float))
 
     def evaluator(self):
+        # Horner inlined: this is the integrator's innermost call, and horner() is ~1.7x slower
         coeffs = tuple(reversed(self.coeffs))
 
         def q(x: float) -> float:
@@ -285,14 +214,7 @@ class PolyPotential(Potential):
         if not deriv:
             return 0.0
         xs = np.linspace(0.0, 1.0, 513)
-        vals = np.zeros_like(xs)
-        for c in reversed(deriv):
-            vals = vals * xs + c
-        return float(np.trapezoid(np.abs(vals), xs))
+        return float(np.trapezoid(np.abs(horner(deriv, xs)), xs))
 
     def lower_bound(self) -> float:
         return float(self.sample(np.linspace(0.0, 1.0, 513)).min()) - 1.0
-
-    def shifted(self, c: float) -> "PolyPotential":
-        coeffs = (self.coeffs[0] + c,) + self.coeffs[1:]
-        return PolyPotential(coeffs)

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
-_CONDITION_FALLBACK = 1e12
+_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,6 @@ def _bjorck_pereyra(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return a
 
 
-def _qr_solve(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Column-pivoted orthogonal factorization fallback for ill-conditioned nodes."""
-    V = np.vander(nodes, increasing=True)
-    q, r, piv = scipy.linalg.qr(V, pivoting=True)
-    rhs = q.conj().T @ values
-    x = scipy.linalg.solve_triangular(r, rhs)
-    out = np.empty_like(x)
-    out[piv] = x
-    return out
-
-
 def condition_estimate(nodes) -> float:
     """1-norm condition estimate of the Vandermonde matrix on these nodes.
 
@@ -158,11 +147,16 @@ def condition_estimate(nodes) -> float:
 def vandermonde_solve(nodes, values, tol: Tolerances | None = None) -> Polynomial:
     """Unique degree-n polynomial with A(node_i) = value_i.
 
-    Primary path is the structured progressive elimination; when the
-    condition estimate exceeds 1e12 the explicit matrix is solved by
-    column-pivoted QR instead.
+    Solved by the structured progressive elimination.  Raises
+    NumericalError when the condition estimate exceeds 1e12: there the
+    problem itself is ill-posed, and no solver would give a trustworthy
+    answer.
     """
-    tol = tol or Tolerances()
+    return _solve(nodes, values, tol or Tolerances())[0]
+
+
+def _solve(nodes, values, tol: Tolerances) -> tuple[Polynomial, float]:
+    """vandermonde_solve, also returning the condition estimate it used."""
     nodes = np.asarray([as_finite_complex(z, "node") for z in nodes], dtype=complex)
     values = np.asarray([as_finite_complex(v, "value") for v in values], dtype=complex)
     if len(nodes) != len(values):
@@ -179,11 +173,12 @@ def vandermonde_solve(nodes, values, tol: Tolerances | None = None) -> Polynomia
                     f"{nodes[i]!r} vs {nodes[j]!r}"
                 )
     cond = condition_estimate(nodes)
-    if cond > _CONDITION_FALLBACK:
-        coeffs = _qr_solve(nodes, values)
-    else:
-        coeffs = _bjorck_pereyra(nodes, values)
-    poly = Polynomial(tuple(coeffs))
+    if cond > _CONDITION_LIMIT:
+        raise NumericalError(
+            f"Vandermonde condition {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}: "
+            "the nodes are too close to determine the coefficients"
+        )
+    poly = Polynomial(tuple(_bjorck_pereyra(nodes, values)))
     max_val = float(np.abs(values).max())
     resid = max(abs(poly_eval(poly, z) - v) for z, v in zip(nodes, values))
     bound = 1e-10 * cond * max_val
@@ -192,7 +187,7 @@ def vandermonde_solve(nodes, values, tol: Tolerances | None = None) -> Polynomia
             f"interpolation residual {resid:.3e} exceeds {bound:.3e} "
             f"(condition {cond:.3e})"
         )
-    return poly
+    return poly, cond
 
 
 def select_reconstruction_nodes(eigenvalues, degree: int) -> tuple[complex, ...]:
@@ -223,8 +218,7 @@ def reconstruct_coeffs(
     """
     tol = tol or Tolerances()
     values = [rhs_value(z, inp.cluster_radius) for z in inp.nodes]
-    poly = vandermonde_solve(inp.nodes, values, tol)
-    cond = condition_estimate(inp.nodes)
+    poly, cond = _solve(inp.nodes, values, tol)
     prob = BoundaryPolynomialProblem(poly)
     residuals = tuple(abs(delta_scaled_eval(prob, z)) for z in inp.nodes)
     bound = tol.residual_tol * cond

@@ -2,10 +2,11 @@
 
 Shooting from y(0)=1, y'(0)=0: eigenvalues are the zeros of y'(1) in lam.
 The propagator is an adaptive fourth-order Magnus stepper (two-point Gauss
-nodes) with step-doubling local error control; it is exact for constant
-coefficients, so its cost does not grow with lam.  Eigenvalue counting
-integrates a scaled phase of (y, y') and counts phase multiples of pi at
-x = 1, which brackets each eigenvalue before sign refinement on y'(1).
+nodes) with step-doubling local error control.  It is exact for constant
+coefficients, but the rotation cap on its step makes the steps per shot
+grow like sqrt(lam) once lam is large.  Eigenvalue counting integrates a
+scaled phase of (y, y') and counts phase multiples of pi at x = 1, which
+brackets each eigenvalue before sign refinement on y'(1).
 """
 
 from __future__ import annotations
@@ -191,25 +192,36 @@ def _integrate(qf, breaks, lam, loc_tol, track_phase):
     return y, p, psi
 
 
+def _shooters(q: Potential, tol: Tolerances):
+    """count_below(mu): eigenvalues below mu, from the phase; miss(lam): (y'(1), y(1))."""
+    qf = q.evaluator()
+    breaks = q.breakpoints()
+    loc_tol = tol.eig_tol / 100.0
+
+    def count_below(mu: float) -> int:
+        _, _, psi = _integrate(qf, breaks, mu, loc_tol, True)
+        n = math.ceil((psi - _HALF_PI) / math.pi - 1e-12)
+        return n if n > 0 else 0
+
+    def miss(lam: float):
+        yv, pv, _ = _integrate(qf, breaks, lam, loc_tol, False)
+        return pv, yv
+
+    return count_below, miss
+
+
 def shoot_miss(q: Potential, lam: float, tol: Tolerances | None = None) -> float:
     """Renormalized y'(1) of the shot solution; zero exactly at Neumann eigenvalues."""
-    tol = tol or Tolerances()
     lam = as_finite_float(lam, "lambda")
-    _, p, _ = _integrate(q.evaluator(), q.breakpoints(), lam, tol.eig_tol / 100.0, False)
-    return p
-
-
-def _phase_count(psi: float) -> int:
-    n = math.ceil((psi - _HALF_PI) / math.pi - 1e-12)
-    return n if n > 0 else 0
+    _, miss = _shooters(q, tol or Tolerances())
+    return miss(lam)[0]
 
 
 def eigenvalue_count_below(q: Potential, mu: float, tol: Tolerances | None = None) -> int:
     """Number of Neumann eigenvalues strictly below mu (phase multiples of pi at x=1)."""
-    tol = tol or Tolerances()
     mu = as_finite_float(mu, "mu")
-    _, _, psi = _integrate(q.evaluator(), q.breakpoints(), mu, tol.eig_tol / 100.0, True)
-    return _phase_count(psi)
+    count_below, _ = _shooters(q, tol or Tolerances())
+    return count_below(mu)
 
 
 def mean_value(q: Potential) -> float:
@@ -294,18 +306,7 @@ def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None)
     tol = tol or Tolerances()
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    qf = q.evaluator()
-    breaks = q.breakpoints()
-    loc_tol = tol.eig_tol / 100.0
-
-    def count_below(mu: float) -> int:
-        _, _, psi = _integrate(qf, breaks, mu, loc_tol, True)
-        return _phase_count(psi)
-
-    def miss(lam: float):
-        yv, pv, _ = _integrate(qf, breaks, lam, loc_tol, False)
-        return pv, yv
-
+    count_below, miss = _shooters(q, tol)
     qbar = mean_value(q)
     margin = max(2.0, q.total_variation() + 1.0)
 

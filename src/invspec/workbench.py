@@ -20,7 +20,14 @@ from .char_det import (
     SearchBox,
     find_det_eigenvalues,
 )
-from .core import Polynomial, Spectrum, Tolerances, poly_max_abs_diff, spectra_match
+from .core import (
+    Polynomial,
+    RoundTripReport,
+    Spectrum,
+    Tolerances,
+    poly_max_abs_diff,
+    spectra_match,
+)
 from .errors import InputError, TooFewRootsError
 from .fileio import load_potential
 from .reconstruct import (
@@ -71,24 +78,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RoundTripReport:
-    true_coeffs: Polynomial
-    recovered: Polynomial
-    max_coeff_error: float
-    condition: float
-    nodes_used: tuple[complex, ...]
-    wall_time_ms: float
-
-    def __post_init__(self):
-        expected = poly_max_abs_diff(self.true_coeffs, self.recovered)
-        if self.max_coeff_error != expected:
-            raise InputError(
-                f"max_coeff_error {self.max_coeff_error!r} does not match the "
-                f"coefficient difference {expected!r}"
-            )
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     spectra_matched: bool
     max_coeff_error_a: float
@@ -127,12 +116,29 @@ def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int):
     roots = find_det_eigenvalues(prob, box, cfg.max_roots, cfg.tolerances)
     for _ in range(_MAX_WIDENINGS):
         if len(roots) >= needed:
-            return roots, box
+            return roots
         box = box.widened(_WIDEN_FACTOR)
         roots = find_det_eigenvalues(prob, box, cfg.max_roots, cfg.tolerances)
     if len(roots) < needed:
         raise TooFewRootsError(needed, [r.value for r in roots])
-    return roots, box
+    return roots
+
+
+def _recover(a: Polynomial, roots: DetSpectrum, cfg: ExperimentConfig, start: float):
+    """Recover a from its located roots; wall time counts from perf_counter() = start."""
+    nodes = select_reconstruction_nodes(roots, a.degree)
+    rec = reconstruct_coeffs(
+        ReconstructionInput(nodes, a.degree, cfg.tolerances.cluster_radius),
+        cfg.tolerances,
+    )
+    return RoundTripReport(
+        true_coeffs=a,
+        recovered=rec.coefficients,
+        max_coeff_error=poly_max_abs_diff(a, rec.coefficients),
+        condition=rec.vandermonde_condition,
+        nodes_used=nodes,
+        wall_time_ms=(time.perf_counter() - start) * 1e3,
+    )
 
 
 def roundtrip(a: Polynomial, cfg: ExperimentConfig) -> RoundTripReport:
@@ -143,23 +149,8 @@ def roundtrip(a: Polynomial, cfg: ExperimentConfig) -> RoundTripReport:
             f"polynomial degree {a.degree} outside configured range [{lo}, {hi}]"
         )
     start = time.perf_counter()
-    prob = BoundaryPolynomialProblem(a)
-    roots, _ = _roots_with_widening(prob, cfg, a.degree + 1)
-    nodes = select_reconstruction_nodes(roots, a.degree)
-    rec = reconstruct_coeffs(
-        ReconstructionInput(nodes, a.degree, cfg.tolerances.cluster_radius),
-        cfg.tolerances,
-    )
-    err = poly_max_abs_diff(a, rec.coefficients)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return RoundTripReport(
-        true_coeffs=a,
-        recovered=rec.coefficients,
-        max_coeff_error=err,
-        condition=rec.vandermonde_condition,
-        nodes_used=nodes,
-        wall_time_ms=wall_ms,
-    )
+    roots = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
+    return _recover(a, roots, cfg, start)
 
 
 def run_seeded_suite(cfg: ExperimentConfig) -> tuple[RoundTripReport, ...]:
@@ -196,35 +187,23 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
         raise InputError(
             f"polynomials are distinct but closer than 10x the cluster radius ({sep:.3e})"
         )
-    roots_a, _ = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
-    roots_b, _ = _roots_with_widening(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
+    start = time.perf_counter()
+    roots_a = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
+    roots_b = _roots_with_widening(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
     matched = spectra_match(
         det_spectrum(roots_a, radius),
         det_spectrum(roots_b, radius),
         cfg.tolerances.match_tol,
     )
-    rec_a = reconstruct_coeffs(
-        ReconstructionInput(select_reconstruction_nodes(roots_a, a.degree), a.degree, radius),
-        cfg.tolerances,
-    )
-    rec_b = reconstruct_coeffs(
-        ReconstructionInput(
-            select_reconstruction_nodes(roots_b, a_tilde.degree), a_tilde.degree, radius
-        ),
-        cfg.tolerances,
-    )
-    err_a = poly_max_abs_diff(a, rec_a.coefficients)
-    err_b = poly_max_abs_diff(a_tilde, rec_b.coefficients)
-    own = (
-        err_a <= 1e-6 * max(1.0, rec_a.vandermonde_condition)
-        and err_b <= 1e-6 * max(1.0, rec_b.vandermonde_condition)
-    )
+    rep_a = _recover(a, roots_a, cfg, start)
+    rep_b = _recover(a_tilde, roots_b, cfg, start)
+    own = all(r.max_coeff_error <= 1e-6 * max(1.0, r.condition) for r in (rep_a, rep_b))
     return UniquenessReport(
         spectra_matched=matched,
-        max_coeff_error_a=err_a,
-        max_coeff_error_b=err_b,
-        condition_a=rec_a.vandermonde_condition,
-        condition_b=rec_b.vandermonde_condition,
+        max_coeff_error_a=rep_a.max_coeff_error,
+        max_coeff_error_b=rep_b.max_coeff_error,
+        condition_a=rep_a.condition,
+        condition_b=rep_b.condition,
         passed=(not matched) or own,
     )
 

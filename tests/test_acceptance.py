@@ -270,14 +270,14 @@ def test_criterion_11_serialization(tmp_path, capsys):
         s = int(rng.integers(0, 4))
         true_p = Polynomial(tuple(float(c) for c in rng.uniform(-2, 2, s + 1)))
         rec_p = Polynomial(tuple(c + 1e-10j for c in true_p.coeffs))
-        from invspec.fileio import ReportDoc
+        from invspec import RoundTripReport
 
-        doc = ReportDoc(
+        doc = RoundTripReport(
             true_coeffs=true_p,
             recovered=rec_p,
             max_coeff_error=poly_max_abs_diff(true_p, rec_p),
             condition=float(rng.uniform(1.0, 1e5)),
-            nodes=tuple(complex(x, y) for x, y in rng.uniform(-8, 8, (s + 1, 2))),
+            nodes_used=tuple(complex(x, y) for x, y in rng.uniform(-8, 8, (s + 1, 2))),
             wall_time_ms=float(rng.uniform(0.1, 50.0)),
         )
         rt = emit_report(doc)

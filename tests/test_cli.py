@@ -1,9 +1,13 @@
 import json
 import math
 
+import mpmath as mp
+import pytest
+
 from invspec.cli import main
 from invspec import ConstantPotential
 from invspec.fileio import emit_potential, parse_report, parse_spectrum
+from oracles import mp_dhat
 
 
 def write(tmp_path, name, text):
@@ -58,9 +62,53 @@ def test_roundtrip_single_and_seeded(tmp_path):
 def test_det_roots_empty_box(tmp_path, capsys):
     out = tmp_path / "roots.json"
     rc = main(["det-roots", "--coeffs", "0", "--box", "0.5,1.5,0.5,1.5", "--out", str(out)])
-    assert rc == 0
-    assert "no output written" in capsys.readouterr().out
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "no output written" in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+def test_det_roots_far_left_root_passes_residual_check(tmp_path):
+    # |e^-z| is about 2e4 at the root near -9.88, so a residual bound that
+    # ignores that growth rejects a root located to working accuracy
+    coeffs = (0.22089843280147337, -1.4927828656269049, 1.1439869738448398, 0.13134087934371497)
+    out = tmp_path / "roots.json"
+    rc = main(["det-roots", "--coeffs", ",".join(map(repr, coeffs)),
+               "--box", "-10,10,-80,80", "--out", str(out)])
+    assert rc == 0
+    root = min(parse_spectrum(out.read_text()).values, key=lambda z: abs(z + 9.88))
+    want = mp.findroot(lambda z: mp_dhat(coeffs, z), mp.mpf(-9.88))
+    assert abs(root - complex(want)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30"],
+        ["roundtrip", "--coeffs", "-0.5,1.25"],
+        ["roundtrip", "--seed", "7", "--degree", "1", "--trials", "2"],
+        ["uniqueness", "--coeffs-a", "1", "--coeffs-b", "2"],
+    ],
+)
+def test_stdout_is_json_without_out(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert captured.err.strip()
+
+
+def test_eigen_and_reconstruct_stdout_is_json(tmp_path, capsys):
+    pot = write(tmp_path, "q.json", emit_potential(ConstantPotential(0.0)))
+    assert main(["eigen", "--potential", pot, "--count", "3"]) == 0
+    assert len(parse_spectrum(capsys.readouterr().out)) == 3
+    roots = tmp_path / "roots.json"
+    assert main(["det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30",
+                 "--out", str(roots)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--degree", "1", "--eigs", str(roots)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["recovered"]) == 2
 
 
 def test_roundtrip_argument_validation(tmp_path):

@@ -1,8 +1,9 @@
+import json
+
 import pytest
 
-from invspec import ConstantPotential, Polynomial, SchemaError, Spectrum
+from invspec import ConstantPotential, Polynomial, RoundTripReport, SchemaError, Spectrum
 from invspec.fileio import (
-    ReportDoc,
     emit_potential,
     emit_report,
     emit_spectrum,
@@ -30,12 +31,12 @@ def seeded_report(rng):
     from invspec import poly_max_abs_diff
 
     nodes = tuple(complex(a, b) for a, b in rng.uniform(-8, 8, (s + 1, 2)))
-    return ReportDoc(
+    return RoundTripReport(
         true_coeffs=true_coeffs,
         recovered=recovered,
         max_coeff_error=poly_max_abs_diff(true_coeffs, recovered),
         condition=float(rng.uniform(1, 1e4)),
-        nodes=nodes,
+        nodes_used=nodes,
         wall_time_ms=float(rng.uniform(0.1, 100.0)),
     )
 
@@ -65,6 +66,14 @@ def test_report_documents_round_trip(rng):
         back = parse_report(text)
         assert back == r
         assert emit_report(back) == text
+
+
+def test_report_with_inconsistent_error_rejected(rng):
+    doc = json.loads(emit_report(seeded_report(rng)))
+    doc["max_coeff_error"] += 1.0
+    with pytest.raises(SchemaError, match=r"^\$\.max_coeff_error: ") as info:
+        parse_report(json.dumps(doc))
+    assert info.value.field == "$.max_coeff_error"
 
 
 def test_neumann_spectrum_omits_imaginary_part():

@@ -7,6 +7,7 @@ import pytest
 from invspec import (
     BoundaryPolynomialProblem,
     InputError,
+    NumericalError,
     Polynomial,
     ReconstructionInput,
     SearchBox,
@@ -68,6 +69,15 @@ def test_vandermonde_single_node():
 def test_vandermonde_duplicate_nodes_error():
     with pytest.raises(InputError, match="0 and 2"):
         vandermonde_solve([1.0, 2.0, 1.0 + 1e-12], [0.0, 0.0, 0.0])
+
+
+def test_vandermonde_ill_conditioned_nodes_raise():
+    nodes = (1.0, 1.0 + 1e-5, 1.0 + 2e-5, 1.0 + 3e-5)
+    assert condition_estimate(nodes) > 1e12
+    with pytest.raises(NumericalError, match="condition"):
+        vandermonde_solve(nodes, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(NumericalError, match="condition"):
+        reconstruct_coeffs(ReconstructionInput(nodes, 3))
 
 
 def test_vandermonde_matches_extended_precision_oracle(rng):
