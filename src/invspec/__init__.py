@@ -9,6 +9,7 @@ Vandermonde solve.
 """
 
 from .core import (
+    Eigenvalue,
     Polynomial,
     Spectrum,
     Tolerances,
@@ -24,7 +25,6 @@ from .potentials import (
     Potential,
 )
 from .sl_forward import (
-    NeumannSpectrum,
     eigenvalue_count_below,
     free_spectrum_verdict,
     mean_value,
@@ -34,8 +34,6 @@ from .sl_forward import (
 )
 from .char_det import (
     BoundaryPolynomialProblem,
-    DetEigenvalue,
-    DetSpectrum,
     SearchBox,
     count_zeros,
     delta_deriv,

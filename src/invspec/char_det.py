@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polynomial, Tolerances, as_finite_complex, as_finite_float, horner, poly_eval
+from .core import Polynomial, Spectrum, Tolerances, as_finite_float, horner, poly_eval
 from .errors import (
     BoundaryZeroError,
     InputError,
@@ -37,8 +37,6 @@ from .errors import (
 __all__ = [
     "BoundaryPolynomialProblem",
     "SearchBox",
-    "DetEigenvalue",
-    "DetSpectrum",
     "y1_eval",
     "y2_eval",
     "ode_residual",
@@ -59,10 +57,6 @@ class BoundaryPolynomialProblem:
     """The determinant problem for one boundary polynomial."""
 
     poly: Polynomial
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
 
 
 @dataclass(frozen=True)
@@ -129,23 +123,6 @@ class SearchBox:
             SearchBox(self.re_min, rm, im, self.im_max),
             SearchBox(rm, self.re_max, im, self.im_max),
         )
-
-
-@dataclass(frozen=True)
-class DetEigenvalue:
-    """A located determinant zero: value, algebraic multiplicity, residual."""
-
-    value: complex
-    multiplicity: int
-    residual: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_finite_complex(self.value, "eigenvalue"))
-        if self.multiplicity < 1:
-            raise InputError(f"multiplicity must be >= 1, got {self.multiplicity}")
-
-
-DetSpectrum = tuple[DetEigenvalue, ...]
 
 
 def y1_eval(lam: complex, x: float) -> complex:
@@ -421,7 +398,7 @@ def find_det_eigenvalues(
     box: SearchBox,
     max_roots: int,
     tol: Tolerances | None = None,
-) -> DetSpectrum:
+) -> Spectrum:
     """All determinant zeros in the box, polished and sorted by (re, im).
 
     The origin (an excluded eigenvalue) is filtered from the results.  A
@@ -447,8 +424,7 @@ def find_det_eigenvalues(
 
     roots = [(z, m) for z, m in raw if abs(z) > tol.cluster_radius]
     roots.sort(key=lambda e: (e[0].real, e[0].imag))
-    out = []
-    for z, m in roots:
+    for z, _ in roots:
         residual = abs(delta_scaled_eval(prob, z))
         # dhat's terms carry e^{-z}, which grows left of the imaginary axis
         growth = max(1.0, math.exp(-z.real))
@@ -457,5 +433,4 @@ def find_det_eigenvalues(
             raise NumericalError(
                 f"root {z!r} has residual {residual:.3e} above its bound {bound:.3e}"
             )
-        out.append(DetEigenvalue(z, m, residual))
-    return tuple(out)
+    return Spectrum(tuple(roots))

@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
-from .core import Polynomial, Spectrum, Tolerances
+from .core import Polynomial, Tolerances
 from .errors import InputError, NumericalError
 from .fileio import (
     dump_json,
@@ -36,7 +37,6 @@ from .workbench import (
     DEFAULT_BOX,
     ExperimentConfig,
     compare_neumann,
-    neumann_to_spectrum,
     roundtrip,
     run_seeded_suite,
     uniqueness_probe,
@@ -79,7 +79,7 @@ def _cmd_eigen(args) -> int:
     q = load_potential(args.potential)
     tol = Tolerances(eig_tol=args.tol) if args.tol else Tolerances()
     spec = neumann_eigenvalues(q, args.count, tol)
-    _write(args.out, emit_spectrum(neumann_to_spectrum(spec)))
+    _write(args.out, emit_spectrum(spec))
     print(f"computed {len(spec)} eigenvalues; lowest {spec.values[0]:.12g}", file=sys.stderr)
     return 0
 
@@ -89,12 +89,15 @@ def _cmd_det_roots(args) -> int:
     box = _parse_box(args.box)
     roots = find_det_eigenvalues(BoundaryPolynomialProblem(poly), box, args.max_roots)
     if not roots:
-        # an empty spectrum has no valid file form (schema requires >= 1 entry)
+        # an empty spectrum has no valid file form (schema requires >= 1 entry);
+        # a file an earlier run left at --out must not pass for this result
+        if args.out:
+            Path(args.out).unlink(missing_ok=True)
         print("no determinant zeros inside the box; no output written", file=sys.stderr)
         return 1
-    _write(args.out, emit_spectrum(Spectrum(tuple((r.value, r.multiplicity) for r in roots))))
+    _write(args.out, emit_spectrum(roots))
     print(
-        f"found {len(roots)} zeros, multiplicity sum {sum(r.multiplicity for r in roots)}",
+        f"found {len(roots)} zeros, multiplicity sum {sum(roots.multiplicities)}",
         file=sys.stderr,
     )
     return 0
@@ -102,7 +105,7 @@ def _cmd_det_roots(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     spectrum = load_spectrum(args.eigs)
-    nodes = select_reconstruction_nodes(spectrum.values, args.degree)
+    nodes = select_reconstruction_nodes(spectrum, args.degree)
     rec = reconstruct_coeffs(ReconstructionInput(nodes, args.degree))
     doc = dump_json(
         {
@@ -123,23 +126,20 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _make_config(args, degree_hint: int | None = None) -> ExperimentConfig:
+def _make_config(args, degree_range, seed: int = 0, trials: int = 1) -> ExperimentConfig:
     box = _parse_box(args.box) if args.box else DEFAULT_BOX
-    degree_range = (0, max(3, degree_hint if degree_hint is not None else 3))
-    return ExperimentConfig(
-        seed=getattr(args, "seed", 0) or 0,
-        degree_range=degree_range,
-        search_box=box,
-        trials=getattr(args, "trials", 1) or 1,
-    )
+    return ExperimentConfig(seed=seed, degree_range=degree_range, search_box=box, trials=trials)
 
 
 def _cmd_roundtrip(args) -> int:
     if bool(args.coeffs) == bool(args.seed is not None):
         raise InputError("use exactly one of --coeffs or --seed")
     if args.coeffs:
+        for flag, value in (("--degree", args.degree), ("--trials", args.trials)):
+            if value is not None:
+                raise InputError(f"{flag} belongs to --seed mode, not --coeffs")
         poly = _parse_coeffs(args.coeffs)
-        cfg = _make_config(args, poly.degree)
+        cfg = _make_config(args, (0, max(3, poly.degree)))
         report = roundtrip(poly, cfg)
         _write(args.out, emit_report(report))
         print(
@@ -152,12 +152,8 @@ def _cmd_roundtrip(args) -> int:
         return 0
     if args.degree is None:
         raise InputError("--seed mode needs --degree")
-    cfg = ExperimentConfig(
-        seed=args.seed,
-        degree_range=(args.degree, args.degree),
-        search_box=_parse_box(args.box) if args.box else DEFAULT_BOX,
-        trials=args.trials,
-    )
+    trials = 1 if args.trials is None else args.trials
+    cfg = _make_config(args, (args.degree, args.degree), args.seed, trials)
     reports = run_seeded_suite(cfg)
     _write(args.out, "[" + ",".join(emit_report(r).rstrip("\n") for r in reports) + "]\n")
     if args.csv:
@@ -170,7 +166,7 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_uniqueness(args) -> int:
     pa = _parse_coeffs(args.coeffs_a)
     pb = _parse_coeffs(args.coeffs_b)
-    cfg = _make_config(args, max(pa.degree, pb.degree))
+    cfg = _make_config(args, (0, max(3, pa.degree, pb.degree)))
     report = uniqueness_probe(pa, pb, cfg)
     _write(args.out, dump_json(dataclasses.asdict(report)))
     print(f"uniqueness probe: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -219,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--box", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)

@@ -7,11 +7,14 @@ functions of their inputs and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeMismatchError, InputError
 
 __all__ = [
+    "Eigenvalue",
     "Polynomial",
     "RoundTripReport",
     "Spectrum",
@@ -155,20 +158,30 @@ def _sort_key(z: complex):
     return (z.real, z.imag)
 
 
+class Eigenvalue(NamedTuple):
+    """One spectrum entry: a value and its algebraic multiplicity."""
+
+    value: complex | float
+    multiplicity: int
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted (value, multiplicity) pairs, ordered by (re, im)."""
+    """Eigenvalue entries sorted by (re, im); real-typed values stay floats."""
 
-    entries: tuple[tuple[complex, int], ...]
+    entries: tuple[Eigenvalue, ...]
 
     def __post_init__(self):
         entries = []
         for value, mult in self.entries:
-            z = as_finite_complex(value, "spectrum value")
+            if isinstance(value, numbers.Real):
+                z = as_finite_float(value, "spectrum value")
+            else:
+                z = as_finite_complex(value, "spectrum value")
             m = int(mult)
             if m < 1:
                 raise InputError(f"multiplicity must be >= 1, got {mult}")
-            entries.append((z, m))
+            entries.append(Eigenvalue(z, m))
         keys = [_sort_key(z) for z, _ in entries]
         if keys != sorted(keys):
             raise InputError("spectrum entries must be sorted by (re, im)")
@@ -201,18 +214,21 @@ class Spectrum:
         return cls(tuple(items))
 
     @property
-    def values(self) -> tuple[complex, ...]:
-        return tuple(z for z, _ in self.entries)
+    def values(self) -> tuple[complex | float, ...]:
+        return tuple(e.value for e in self.entries)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.entries)
+        return tuple(e.multiplicity for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
 
 
 def _merge_once(items, radius):

@@ -56,8 +56,9 @@ class BracketingError(NumericalError):
 class BoundaryZeroError(NumericalError):
     """A zero of the scaled determinant sits (numerically) on a contour.
 
-    Callers should perturb the search box by at least the clustering
-    radius and retry.
+    find_det_eigenvalues already nudges its box outward and retries; callers
+    of count_zeros must perturb the box by at least the clustering radius
+    and retry themselves.
     """
 
     def __init__(self, location: complex):

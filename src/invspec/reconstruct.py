@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .char_det import BoundaryPolynomialProblem, DetEigenvalue, delta_scaled_eval
-from .core import Polynomial, Tolerances, as_finite_complex, poly_eval
+from .char_det import BoundaryPolynomialProblem, delta_scaled_eval
+from .core import Polynomial, Spectrum, Tolerances, as_finite_complex, poly_eval
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -190,15 +190,13 @@ def _solve(nodes, values, tol: Tolerances) -> tuple[Polynomial, float]:
     return poly, cond
 
 
-def select_reconstruction_nodes(eigenvalues, degree: int) -> tuple[complex, ...]:
-    """Pick s+1 nodes from available eigenvalues: smallest modulus first.
+def select_reconstruction_nodes(spectrum: Spectrum, degree: int) -> tuple[complex, ...]:
+    """Pick s+1 nodes from a spectrum's values: smallest modulus first.
 
     Small-modulus nodes empirically give the best Vandermonde conditioning;
     ties break by (re, im) so the choice is deterministic.
     """
-    values = []
-    for ev in eigenvalues:
-        values.append(ev.value if isinstance(ev, DetEigenvalue) else complex(ev))
+    values = [complex(z) for z in spectrum.values]
     if len(values) < degree + 1:
         raise InputError(
             f"degree {degree} needs {degree + 1} eigenvalues, got {len(values)}"

@@ -12,16 +12,14 @@ brackets each eigenvalue before sign refinement on y'(1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, as_finite_float
+from .core import Spectrum, Tolerances, as_finite_float
 from .errors import BracketingError, InputError, IntegrationError, NumericalError
 from .potentials import Potential
 
 __all__ = [
-    "NeumannSpectrum",
     "shoot_miss",
     "eigenvalue_count_below",
     "neumann_eigenvalues",
@@ -36,34 +34,6 @@ _GAUSS_OFF = math.sqrt(3.0) / 6.0
 _COMM_COEF = math.sqrt(3.0) / 12.0
 _EPS = math.ulp(1.0)
 _RENORM_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class NeumannSpectrum:
-    """Strictly increasing real eigenvalues, all simple."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(as_finite_float(v, "eigenvalue") for v in self.values)
-        if not values:
-            raise InputError("a spectrum needs at least one eigenvalue")
-        for i in range(1, len(values)):
-            if values[i] <= values[i - 1]:
-                raise InputError(
-                    f"eigenvalues must be strictly increasing, "
-                    f"values[{i}] = {values[i]} <= values[{i - 1}] = {values[i - 1]}"
-                )
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 def _step(qf, lam, x, h, y, p):
@@ -296,8 +266,8 @@ def _refine_bracket(miss, a, fa, b, fb, tol: Tolerances):
     return best[1], best[2]
 
 
-def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None) -> NeumannSpectrum:
-    """First `count` Neumann eigenvalues of -y'' + q y = lam y.
+def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None) -> Spectrum:
+    """First `count` Neumann eigenvalues of -y'' + q y = lam y, each of multiplicity 1.
 
     Each eigenvalue is isolated by the phase-counting function, then refined
     on the sign of y'(1).  Raises BracketingError if the search window fails
@@ -389,10 +359,10 @@ def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None)
                 f"eigenvalue #{n} violates the asymptotic sanity gate "
                 f"(drift {drift:.3e} > {gate:.3e})"
             )
-    return NeumannSpectrum(tuple(values))
+    return Spectrum(tuple((v, 1) for v in values))
 
 
-def free_spectrum_verdict(spectrum: NeumannSpectrum, tol: float) -> bool:
+def free_spectrum_verdict(spectrum: Spectrum, tol: float) -> bool:
     """True iff every provided eigenvalue sits within tol of (n*pi)^2.
 
     On the full spectrum this forces q to vanish identically; on a finite
@@ -401,7 +371,7 @@ def free_spectrum_verdict(spectrum: NeumannSpectrum, tol: float) -> bool:
     if len(spectrum) == 0:
         raise InputError("verdict needs a nonempty spectrum")
     return all(
-        abs(lam - (n * math.pi) ** 2) <= tol for n, lam in enumerate(spectrum)
+        abs(lam - (n * math.pi) ** 2) <= tol for n, lam in enumerate(spectrum.values)
     )
 
 

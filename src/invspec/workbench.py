@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .char_det import (
-    BoundaryPolynomialProblem,
-    DetSpectrum,
-    SearchBox,
-    find_det_eigenvalues,
-)
+from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
 from .core import (
     Polynomial,
     RoundTripReport,
@@ -35,7 +30,7 @@ from .reconstruct import (
     reconstruct_coeffs,
     select_reconstruction_nodes,
 )
-from .sl_forward import NeumannSpectrum, free_spectrum_verdict, neumann_eigenvalues
+from .sl_forward import free_spectrum_verdict, neumann_eigenvalues
 
 __all__ = [
     "ExperimentConfig",
@@ -46,8 +41,6 @@ __all__ = [
     "run_seeded_suite",
     "uniqueness_probe",
     "compare_neumann",
-    "det_spectrum",
-    "neumann_to_spectrum",
 ]
 
 DEFAULT_BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
@@ -89,8 +82,8 @@ class UniquenessReport:
 
 @dataclass(frozen=True)
 class CompareReport:
-    spectrum_a: NeumannSpectrum
-    spectrum_b: NeumannSpectrum
+    spectrum_a: Spectrum
+    spectrum_b: Spectrum
     gaps: tuple[float, ...]
     matched: bool
     free_spectrum_a: bool
@@ -98,33 +91,17 @@ class CompareReport:
     zero_potential_flag: bool
 
 
-def det_spectrum(roots: DetSpectrum, cluster_radius: float) -> Spectrum:
-    """Collapse located determinant roots into a comparable Spectrum value."""
-    return Spectrum.from_points(
-        [r.value for r in roots],
-        cluster_radius,
-        multiplicities=[r.multiplicity for r in roots],
-    )
-
-
-def neumann_to_spectrum(spec: NeumannSpectrum) -> Spectrum:
-    return Spectrum(tuple((complex(v), 1) for v in spec.values))
-
-
-def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int):
+def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int) -> Spectrum:
     box = cfg.search_box
-    roots = find_det_eigenvalues(prob, box, cfg.max_roots, cfg.tolerances)
-    for _ in range(_MAX_WIDENINGS):
+    for _ in range(_MAX_WIDENINGS + 1):
+        roots = find_det_eigenvalues(prob, box, cfg.max_roots, cfg.tolerances)
         if len(roots) >= needed:
             return roots
         box = box.widened(_WIDEN_FACTOR)
-        roots = find_det_eigenvalues(prob, box, cfg.max_roots, cfg.tolerances)
-    if len(roots) < needed:
-        raise TooFewRootsError(needed, [r.value for r in roots])
-    return roots
+    raise TooFewRootsError(needed, roots.values)
 
 
-def _recover(a: Polynomial, roots: DetSpectrum, cfg: ExperimentConfig, start: float):
+def _recover(a: Polynomial, roots: Spectrum, cfg: ExperimentConfig, start: float):
     """Recover a from its located roots; wall time counts from perf_counter() = start."""
     nodes = select_reconstruction_nodes(roots, a.degree)
     rec = reconstruct_coeffs(
@@ -182,19 +159,14 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
             f"probe needs equal degrees, got {a.degree} vs {a_tilde.degree}"
         )
     sep = poly_max_abs_diff(a, a_tilde)
-    radius = cfg.tolerances.cluster_radius
-    if 0.0 < sep < 10.0 * radius:
+    if 0.0 < sep < 10.0 * cfg.tolerances.cluster_radius:
         raise InputError(
             f"polynomials are distinct but closer than 10x the cluster radius ({sep:.3e})"
         )
     start = time.perf_counter()
     roots_a = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
     roots_b = _roots_with_widening(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
-    matched = spectra_match(
-        det_spectrum(roots_a, radius),
-        det_spectrum(roots_b, radius),
-        cfg.tolerances.match_tol,
-    )
+    matched = spectra_match(roots_a, roots_b, cfg.tolerances.match_tol)
     rep_a = _recover(a, roots_a, cfg, start)
     rep_b = _recover(a_tilde, roots_b, cfg, start)
     own = all(r.max_coeff_error <= 1e-6 * max(1.0, r.condition) for r in (rep_a, rep_b))
@@ -227,7 +199,7 @@ def compare_neumann(
     sa = neumann_eigenvalues(qa, count, tol)
     sb = neumann_eigenvalues(qb, count, tol)
     gaps = tuple(abs(x - y) for x, y in zip(sa.values, sb.values))
-    matched = spectra_match(neumann_to_spectrum(sa), neumann_to_spectrum(sb), match_tol)
+    matched = spectra_match(sa, sb, match_tol)
     free_a = free_spectrum_verdict(sa, match_tol)
     free_b = free_spectrum_verdict(sb, match_tol)
     return CompareReport(

@@ -55,7 +55,7 @@ def test_criterion_1_free_neumann_spectrum():
     spec = neumann_eigenvalues(ConstantPotential(0.0), 20)
     elapsed = time.perf_counter() - start
     worst = 0.0
-    for n, lam in enumerate(spec):
+    for n, lam in enumerate(spec.values):
         target = (n * math.pi) ** 2
         worst = max(worst, abs(lam - target) / max(1.0, target))
     _verdict(
@@ -74,7 +74,7 @@ def test_criterion_2_shift_covariance():
         base = neumann_eigenvalues(q, 8)
         for c in (-3.0, 1.0, 7.0):
             shifted = neumann_eigenvalues(q.shifted(c), 8)
-            worst = max(worst, max(abs(s - b - c) for b, s in zip(base, shifted)))
+            worst = max(worst, max(abs(s - b - c) for b, s in zip(base.values, shifted.values)))
     elapsed = time.perf_counter() - start
     _verdict(
         2,
@@ -91,7 +91,7 @@ def test_criterion_3_method_cross_check():
         q = seeded_grid_potential(rng, lattice=10, bound=2.0)
         shoot = neumann_eigenvalues(q, 5)
         oracle = fd_neumann_eigenvalues(q, 5)
-        worst = max(worst, max(abs(a - b) for a, b in zip(shoot, oracle)))
+        worst = max(worst, max(abs(a - b) for a, b in zip(shoot.values, oracle)))
     elapsed = time.perf_counter() - start
     _verdict(
         3,

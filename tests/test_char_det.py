@@ -211,7 +211,7 @@ def test_seeded_roots_residuals_and_consistency(rng):
         assert roots, "expected at least one zero in the default box"
         for r in roots:
             bound = tol.residual_tol * (1.0 + abs(r.value * p.poly(r.value)))
-            assert r.residual <= bound
+            assert abs(delta_scaled_eval(p, r.value)) <= bound
         assert count_zeros(p, box, tol) == sum(r.multiplicity for r in roots)
 
 

@@ -61,6 +61,10 @@ def test_roundtrip_single_and_seeded(tmp_path):
 
 def test_det_roots_empty_box(tmp_path, capsys):
     out = tmp_path / "roots.json"
+    # roots an earlier run left at --out must not survive an empty result
+    assert main(["det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30", "--out", str(out)]) == 0
+    assert out.exists()
+    capsys.readouterr()
     rc = main(["det-roots", "--coeffs", "0", "--box", "0.5,1.5,0.5,1.5", "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
@@ -111,10 +115,16 @@ def test_eigen_and_reconstruct_stdout_is_json(tmp_path, capsys):
     assert len(doc["recovered"]) == 2
 
 
-def test_roundtrip_argument_validation(tmp_path):
+def test_roundtrip_argument_validation(tmp_path, capsys):
     assert main(["roundtrip"]) == 2
     assert main(["roundtrip", "--coeffs", "1", "--seed", "4"]) == 2
     assert main(["roundtrip", "--seed", "4"]) == 2
+    for argv, flag in (
+        (["roundtrip", "--coeffs", "1", "--trials", "0"], "--trials"),
+        (["roundtrip", "--coeffs", "1", "--degree", "2"], "--degree"),
+    ):
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_uniqueness_exit_code(tmp_path):

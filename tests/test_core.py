@@ -119,6 +119,8 @@ def test_spectrum_requires_sorted_entries():
     with pytest.raises(InputError):
         Spectrum(((1.0 + 0j, 1), (0.0 + 0j, 1)))
     with pytest.raises(InputError):
+        Spectrum(((1.0, 1), (0.5, 1)))
+    with pytest.raises(InputError):
         Spectrum(((1.0 + 0j, 0),))
 
 

@@ -11,6 +11,7 @@ from invspec import (
     Polynomial,
     ReconstructionInput,
     SearchBox,
+    Spectrum,
     condition_estimate,
     find_det_eigenvalues,
     poly_eval,
@@ -186,7 +187,7 @@ def test_conjugate_closure_gives_real_coefficients():
 
 
 def test_node_selection_policy():
-    values = (3.0 + 0j, -1.0 + 0j, 0.5 + 2j, 1.0 + 0j)
+    values = Spectrum.from_points((3.0 + 0j, -1.0 + 0j, 0.5 + 2j, 1.0 + 0j))
     picked = select_reconstruction_nodes(values, 1)
     assert picked == (-1.0 + 0j, 1.0 + 0j)
     with pytest.raises(InputError):

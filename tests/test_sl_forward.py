@@ -8,7 +8,7 @@ from invspec import (
     CosinePotential,
     GridPotential,
     InputError,
-    NeumannSpectrum,
+    Spectrum,
     eigenvalue_count_below,
     free_spectrum_verdict,
     mean_value,
@@ -68,14 +68,14 @@ def test_count_below_agrees_with_matrix_oracle():
 
 def test_free_spectrum_eigenvalues():
     spec = neumann_eigenvalues(ConstantPotential(0.0), 20)
-    for n, lam in enumerate(spec):
+    for n, lam in enumerate(spec.values):
         target = (n * math.pi) ** 2
         assert abs(lam - target) <= 1e-8 * max(1.0, target)
 
 
 def test_constant_shift_spectrum():
     spec = neumann_eigenvalues(ConstantPotential(5.0), 10)
-    for n, lam in enumerate(spec):
+    for n, lam in enumerate(spec.values):
         assert abs(lam - ((n * math.pi) ** 2 + 5.0)) <= 1e-8
 
 
@@ -83,7 +83,7 @@ def test_cosine_spectrum_matches_oracle():
     q = CosinePotential(1.0, 1)
     got = neumann_eigenvalues(q, 6)
     want = fd_neumann_eigenvalues(q, 6)
-    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-6
+    assert max(abs(a - b) for a, b in zip(got.values, want)) <= 1e-6
 
 
 def test_shift_covariance_sample(rng):
@@ -92,7 +92,7 @@ def test_shift_covariance_sample(rng):
         base = neumann_eigenvalues(q, 8)
         for c in (-3.0, 1.0, 7.0):
             shifted = neumann_eigenvalues(q.shifted(c), 8)
-            assert max(abs(s - b - c) for b, s in zip(base, shifted)) <= 1e-8
+            assert max(abs(s - b - c) for b, s in zip(base.values, shifted.values)) <= 1e-8
 
 
 def test_eigenvalue_simplicity(rng):
@@ -103,7 +103,7 @@ def test_eigenvalue_simplicity(rng):
     ]
     for q in potentials:
         spec = neumann_eigenvalues(q, 12)
-        gaps = [b - a for a, b in zip(spec, list(spec)[1:])]
+        gaps = [b - a for a, b in zip(spec.values, spec.values[1:])]
         assert min(gaps) >= 1e-4
 
 
@@ -113,10 +113,14 @@ def test_count_requires_positive():
 
 
 def test_neumann_spectrum_validates_monotone():
+    spec = neumann_eigenvalues(CosinePotential(1.0, 1), 6)
+    assert spec.multiplicities == (1,) * 6
+    assert all(isinstance(lam, float) for lam in spec.values)
+    assert all(b > a for a, b in zip(spec.values, spec.values[1:]))
     with pytest.raises(InputError):
-        NeumannSpectrum((1.0, 1.0))
+        Spectrum(((1.0, 1), (0.5, 1)))
     with pytest.raises(InputError):
-        NeumannSpectrum(())
+        neumann_eigenvalues(ConstantPotential(0.0), 0)
 
 
 def test_free_spectrum_verdict_cases():
@@ -164,4 +168,4 @@ def test_asymptotic_sanity_gate(rng):
         qbar = mean_value(q)
         gate = max(1.0, q.total_variation())
         for n in range(5, 9):
-            assert abs(spec[n] - (n * math.pi) ** 2 - qbar) <= gate
+            assert abs(spec.values[n] - (n * math.pi) ** 2 - qbar) <= gate

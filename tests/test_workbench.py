@@ -15,6 +15,7 @@ from invspec import (
     run_seeded_suite,
     uniqueness_probe,
 )
+from invspec import workbench
 from invspec.fileio import emit_potential
 from invspec.workbench import compare_neumann
 from invspec import ConstantPotential, CosinePotential, GridPotential
@@ -55,6 +56,22 @@ def test_roundtrip_too_few_roots():
     )
     with pytest.raises(TooFewRootsError):
         roundtrip(Polynomial((0.0,)), cfg)
+
+
+def test_roundtrip_last_widening_succeeds(monkeypatch):
+    # boxes of half-height 0.1, 0.4, 1.6 and 6.4: only the last reaches 2 pi i
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return find_det_eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(workbench, "find_det_eigenvalues", counted)
+    cfg = ExperimentConfig(search_box=SearchBox(-0.1, 0.1, -0.1, 0.1), degree_range=(0, 0))
+    report = roundtrip(Polynomial((0.0,)), cfg)
+    assert [box.im_max for box in searches] == pytest.approx([0.1, 0.4, 1.6, 6.4])
+    assert abs(abs(report.nodes_used[0]) - TWO_PI) <= 1e-6
+    assert report.max_coeff_error <= 1e-9
 
 
 def test_seeded_suite_deterministic():
