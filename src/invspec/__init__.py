@@ -12,7 +12,6 @@ from .core import (
     Eigenvalue,
     Polynomial,
     Spectrum,
-    Tolerances,
     poly_eval,
     poly_max_abs_diff,
     spectra_match,
@@ -45,7 +44,6 @@ from .char_det import (
     y2_eval,
 )
 from .reconstruct import (
-    ReconstructionInput,
     ReconstructionResult,
     condition_estimate,
     reconstruct_coeffs,

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polynomial, Spectrum, Tolerances, as_finite_float, horner, poly_eval
+from .core import (
+    CLUSTER_RADIUS,
+    RESIDUAL_TOL,
+    Polynomial,
+    Spectrum,
+    as_finite_float,
+    horner,
+    poly_eval,
+)
 from .errors import (
     BoundaryZeroError,
     InputError,
@@ -214,7 +222,7 @@ def delta_deriv(prob: BoundaryPolynomialProblem, lam):
     lam, em = _with_exp_neg(lam)
     coeffs = prob.poly.coeffs
     a_val = horner(coeffs, lam)
-    # A' without Polynomial.derivative(), whose validation cost more than dhat' itself
+    # A' as a plain list: building a validated Polynomial cost more than dhat' itself
     ap_val = horner([k * c for k, c in enumerate(coeffs)][1:], lam)
     return em + (a_val + lam * ap_val) * (2.0 * em - 1.0) - 2.0 * lam * a_val * em
 
@@ -237,7 +245,7 @@ def _edge_points(box: SearchBox, samples_per_unit: float):
     return np.concatenate(pts)
 
 
-def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolerances) -> int:
+def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     """Winding number of dhat along the box boundary (argument principle).
 
     Counts every zero of dhat inside, including the artificial one at the
@@ -245,13 +253,12 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolera
     AND the derivative bound len * max|dhat'| / min|dhat| at its endpoints
     is small: the bound dominates the true phase change, so zeros lurking
     between samples cannot alias a full turn past the jump test.  A sample
-    with |dhat| at or below residual_tol raises BoundaryZeroError.
+    with |dhat| at or below RESIDUAL_TOL raises BoundaryZeroError.
     """
-    floor = tol.residual_tol
     pts = _edge_points(box, samples_per_unit=8.0)
     vals = delta_scaled_eval(prob, pts)
     mags = np.abs(vals)
-    if (mags <= floor).any():
+    if (mags <= RESIDUAL_TOL).any():
         raise BoundaryZeroError(complex(pts[int(np.argmin(mags))]))
     ders = np.abs(delta_deriv(prob, pts))
 
@@ -279,7 +286,7 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolera
             raise BoundaryZeroError(0.5 * (z0 + z1))
         zm = 0.5 * (z0 + z1)
         fm = delta_scaled_eval(prob, zm)
-        if abs(fm) <= floor:
+        if abs(fm) <= RESIDUAL_TOL:
             raise BoundaryZeroError(zm)
         dm = abs(delta_deriv(prob, zm))
         stack.append((zm, fm, dm, z1, f1, d1))
@@ -291,16 +298,13 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolera
     return int(k)
 
 
-def count_zeros(
-    prob: BoundaryPolynomialProblem, box: SearchBox, tol: Tolerances | None = None
-) -> int:
+def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     """Zeros of the determinant inside the box, counted with multiplicity.
 
     The artificial origin zero introduced by the scaling is discounted when
     the box contains the origin, so a zero-free determinant gives 0.
     """
-    tol = tol or Tolerances()
-    w = _winding_number(prob, box, tol)
+    w = _winding_number(prob, box)
     if box.strictly_contains_origin():
         w -= 1
     if w < 0:
@@ -308,10 +312,10 @@ def count_zeros(
     return w
 
 
-def _newton_polish(prob, z0: complex, region: SearchBox, tol: Tolerances):
+def _newton_polish(prob, z0: complex, region: SearchBox):
     """Newton on dhat from z0; None when it leaves the region or stalls."""
     z = complex(z0)
-    margin = 0.5 * region.diameter + 10.0 * tol.cluster_radius
+    margin = 0.5 * region.diameter + 10.0 * CLUSTER_RADIUS
     for _ in range(100):
         f = delta_scaled_eval(prob, z)
         df = delta_deriv(prob, z)
@@ -342,26 +346,26 @@ _SPLIT_FRACTIONS = (
 )
 
 
-def _collect_roots(prob, box: SearchBox, max_roots: int, tol: Tolerances):
+def _collect_roots(prob, box: SearchBox, max_roots: int):
     """Quadrisection search; returns (value, multiplicity) pairs, origin included."""
     found: list[tuple[complex, int]] = []
 
     def genuine():
-        return sum(m for z, m in found if abs(z) > tol.cluster_radius)
+        return sum(m for z, m in found if abs(z) > CLUSTER_RADIUS)
 
     def visit(bx: SearchBox, count: int, depth: int):
         if count == 0:
             return
         if genuine() + count > max_roots + 1:
             raise MaxRootsExceededError(
-                max_roots, [z for z, _ in found if abs(z) > tol.cluster_radius]
+                max_roots, [z for z, _ in found if abs(z) > CLUSTER_RADIUS]
             )
         if count == 1:
-            z = _newton_polish(prob, bx.center, bx, tol)
+            z = _newton_polish(prob, bx.center, bx)
             if z is not None and bx.contains(z):
                 found.append((z, 1))
                 return
-        if bx.diameter <= tol.cluster_radius:
+        if bx.diameter <= CLUSTER_RADIUS:
             # unresolved cluster: report as one root carrying the full count
             found.append((bx.center, count))
             return
@@ -371,7 +375,7 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, tol: Tolerances):
         for fr, fi in _SPLIT_FRACTIONS:
             kids = bx.split(fr, fi)
             try:
-                counts = [_winding_number(prob, k, tol) for k in kids]
+                counts = [_winding_number(prob, k) for k in kids]
             except BoundaryZeroError:
                 continue
             # a zero hugging one of the new edges can corrupt two children at
@@ -389,15 +393,12 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, tol: Tolerances):
         for k, c in zip(kids, counts):
             visit(k, c, depth + 1)
 
-    visit(box, _winding_number(prob, box, tol), 0)
+    visit(box, _winding_number(prob, box), 0)
     return found
 
 
 def find_det_eigenvalues(
-    prob: BoundaryPolynomialProblem,
-    box: SearchBox,
-    max_roots: int,
-    tol: Tolerances | None = None,
+    prob: BoundaryPolynomialProblem, box: SearchBox, max_roots: int
 ) -> Spectrum:
     """All determinant zeros in the box, polished and sorted by (re, im).
 
@@ -405,30 +406,29 @@ def find_det_eigenvalues(
     zero sitting on the outer boundary triggers up to 5 retries with the
     box nudged outward by multiples of the cluster radius.
     """
-    tol = tol or Tolerances()
     if max_roots < 1:
         raise InputError(f"max_roots must be >= 1, got {max_roots}")
     eff = box
     last_err: BoundaryZeroError | None = None
     for attempt in range(6):
         try:
-            raw = _collect_roots(prob, eff, max_roots, tol)
+            raw = _collect_roots(prob, eff, max_roots)
             break
         except BoundaryZeroError as err:
             last_err = err
-            delta = max(tol.cluster_radius, 1e-9) * (attempt + 1) * 1.618
+            delta = CLUSTER_RADIUS * (attempt + 1) * 1.618
             eff = eff.expanded(delta)
     else:
         assert last_err is not None
         raise last_err
 
-    roots = [(z, m) for z, m in raw if abs(z) > tol.cluster_radius]
+    roots = [(z, m) for z, m in raw if abs(z) > CLUSTER_RADIUS]
     roots.sort(key=lambda e: (e[0].real, e[0].imag))
     for z, _ in roots:
         residual = abs(delta_scaled_eval(prob, z))
         # dhat's terms carry e^{-z}, which grows left of the imaginary axis
         growth = max(1.0, math.exp(-z.real))
-        bound = tol.residual_tol * (1.0 + abs(z * poly_eval(prob.poly, z))) * growth
+        bound = RESIDUAL_TOL * (1.0 + abs(z * poly_eval(prob.poly, z))) * growth
         if residual > bound:
             raise NumericalError(
                 f"root {z!r} has residual {residual:.3e} above its bound {bound:.3e}"

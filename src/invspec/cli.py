@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
-from .core import Polynomial, Tolerances
+from .core import Polynomial
 from .errors import InputError, NumericalError
 from .fileio import (
     dump_json,
@@ -27,12 +27,8 @@ from .fileio import (
     reports_to_csv,
     save_text,
 )
-from .reconstruct import (
-    ReconstructionInput,
-    reconstruct_coeffs,
-    select_reconstruction_nodes,
-)
-from .sl_forward import neumann_eigenvalues
+from .reconstruct import reconstruct_coeffs, select_reconstruction_nodes
+from .sl_forward import EIG_TOL, neumann_eigenvalues
 from .workbench import (
     DEFAULT_BOX,
     ExperimentConfig,
@@ -77,8 +73,7 @@ def _write(path, text: str) -> None:
 
 def _cmd_eigen(args) -> int:
     q = load_potential(args.potential)
-    tol = Tolerances(eig_tol=args.tol) if args.tol else Tolerances()
-    spec = neumann_eigenvalues(q, args.count, tol)
+    spec = neumann_eigenvalues(q, args.count, args.tol)
     _write(args.out, emit_spectrum(spec))
     print(f"computed {len(spec)} eigenvalues; lowest {spec.values[0]:.12g}", file=sys.stderr)
     return 0
@@ -106,7 +101,7 @@ def _cmd_det_roots(args) -> int:
 def _cmd_reconstruct(args) -> int:
     spectrum = load_spectrum(args.eigs)
     nodes = select_reconstruction_nodes(spectrum, args.degree)
-    rec = reconstruct_coeffs(ReconstructionInput(nodes, args.degree))
+    rec = reconstruct_coeffs(nodes)
     doc = dump_json(
         {
             "recovered": [
@@ -194,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="Neumann eigenvalues of a potential file")
     p.add_argument("--potential", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=EIG_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eigen)
 

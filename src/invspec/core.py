@@ -1,4 +1,4 @@
-"""Shared numeric domain types: polynomials, spectra, tolerances, reports.
+"""Shared numeric domain types and thresholds: polynomials, spectra, reports.
 
 Everything here is an immutable value object; all operations are pure
 functions of their inputs and safe for concurrent use.
@@ -13,12 +13,18 @@ from typing import NamedTuple
 
 from .errors import DegreeMismatchError, InputError
 
+# |dhat| at or below RESIDUAL_TOL counts as a zero; roots closer than
+# CLUSTER_RADIUS merge into one entry.  Keep CLUSTER_RADIUS >= RESIDUAL_TOL:
+# find_det_eigenvalues nudges a box by multiples of CLUSTER_RADIUS and counts
+# on that step being no smaller than the residual floor.
+RESIDUAL_TOL = 1e-9
+CLUSTER_RADIUS = 1e-8
+
 __all__ = [
     "Eigenvalue",
     "Polynomial",
     "RoundTripReport",
     "Spectrum",
-    "Tolerances",
     "horner",
     "poly_eval",
     "poly_max_abs_diff",
@@ -68,21 +74,8 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0j,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
     def __call__(self, z) -> complex:
         return poly_eval(self, z)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0j,) * (n - len(self.coeffs))
-        b = other.coeffs + (0j,) * (n - len(other.coeffs))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
 
 
 def horner(coeffs, z):
@@ -127,33 +120,6 @@ class RoundTripReport:
             )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric knobs shared across the toolkit.
-
-    eig_tol: stop width for eigenvalue refinement.
-    residual_tol: floor below which a determinant residual counts as zero.
-    cluster_radius: distance under which two roots merge into one entry.
-    match_tol: pairwise distance allowed when comparing two spectra.
-    """
-
-    eig_tol: float = 1e-10
-    residual_tol: float = 1e-9
-    cluster_radius: float = 1e-8
-    match_tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("eig_tol", "residual_tol", "cluster_radius", "match_tol"):
-            v = as_finite_float(getattr(self, name), name)
-            if v <= 0.0:
-                raise InputError(f"{name} must be strictly positive, got {v}")
-        if self.cluster_radius < self.residual_tol:
-            raise InputError(
-                "cluster_radius must be >= residual_tol "
-                f"({self.cluster_radius} < {self.residual_tol})"
-            )
-
-
 def _sort_key(z: complex):
     return (z.real, z.imag)
 
@@ -167,7 +133,7 @@ class Eigenvalue(NamedTuple):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue entries sorted by (re, im); real-typed values stay floats."""
+    """Eigenvalue entries strictly increasing in (re, im); real-typed values stay floats."""
 
     entries: tuple[Eigenvalue, ...]
 
@@ -183,12 +149,15 @@ class Spectrum:
                 raise InputError(f"multiplicity must be >= 1, got {mult}")
             entries.append(Eigenvalue(z, m))
         keys = [_sort_key(z) for z, _ in entries]
-        if keys != sorted(keys):
-            raise InputError("spectrum entries must be sorted by (re, im)")
+        if any(k0 >= k1 for k0, k1 in zip(keys, keys[1:])):
+            # a repeated value is one entry with the summed multiplicity
+            raise InputError("spectrum entries must strictly increase in (re, im)")
         object.__setattr__(self, "entries", tuple(entries))
 
     @classmethod
-    def from_points(cls, points, cluster_radius: float = 1e-8, multiplicities=None) -> "Spectrum":
+    def from_points(
+        cls, points, cluster_radius: float = CLUSTER_RADIUS, multiplicities=None
+    ) -> "Spectrum":
         """Build a spectrum from an unsorted multiset of points.
 
         Points closer than ``cluster_radius`` (transitively) are merged into
@@ -256,8 +225,17 @@ def _merge_once(items, radius):
     return out
 
 
+def as_positive_tol(value, what: str) -> float:
+    """A finite tolerance > 0; a NaN one would make every comparison pass."""
+    x = as_finite_float(value, what)
+    if x <= 0.0:
+        raise InputError(f"{what} must be strictly positive, got {x}")
+    return x
+
+
 def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     """True iff the spectra pair off in order within ``tol`` with equal multiplicities."""
+    tol = as_positive_tol(tol, "tol")
     if len(s1) != len(s2):
         return False
     for (z1, m1), (z2, m2) in zip(s1, s2):

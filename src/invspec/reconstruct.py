@@ -5,7 +5,7 @@ equation A(lam) = rhs_value(lam); s+1 pairwise-distinct eigenvalues give a
 Vandermonde system whose unique solution is the coefficient vector.  In
 exact arithmetic any admissible node set works; numerically the system can
 be arbitrarily ill-conditioned, so every result carries a condition
-estimate and the residual tolerances scale with it.
+estimate and the residual bounds scale with it.
 """
 
 from __future__ import annotations
@@ -18,11 +18,17 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .char_det import BoundaryPolynomialProblem, delta_scaled_eval
-from .core import Polynomial, Spectrum, Tolerances, as_finite_complex, poly_eval
+from .core import (
+    CLUSTER_RADIUS,
+    RESIDUAL_TOL,
+    Polynomial,
+    Spectrum,
+    as_finite_complex,
+    poly_eval,
+)
 from .errors import InputError, NumericalError
 
 __all__ = [
-    "ReconstructionInput",
     "ReconstructionResult",
     "rhs_value",
     "vandermonde_solve",
@@ -36,43 +42,13 @@ _CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class ReconstructionInput:
-    """s+1 pairwise-distinct nonzero eigenvalues for a degree-s recovery."""
-
-    nodes: tuple[complex, ...]
-    degree: int
-    cluster_radius: float = 1e-8
-
-    def __post_init__(self):
-        nodes = tuple(as_finite_complex(z, "node") for z in self.nodes)
-        if self.degree < 0:
-            raise InputError(f"degree must be >= 0, got {self.degree}")
-        if len(nodes) != self.degree + 1:
-            raise InputError(
-                f"degree {self.degree} needs exactly {self.degree + 1} nodes, "
-                f"got {len(nodes)}"
-            )
-        for i, z in enumerate(nodes):
-            if abs(z) <= self.cluster_radius:
-                raise InputError(f"node {i} = {z!r} is too close to the excluded origin")
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if abs(nodes[i] - nodes[j]) <= self.cluster_radius:
-                    raise InputError(
-                        f"nodes {i} and {j} coincide within the cluster radius: "
-                        f"{nodes[i]!r} vs {nodes[j]!r}"
-                    )
-        object.__setattr__(self, "nodes", nodes)
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     coefficients: Polynomial
     node_residuals: tuple[float, ...]
     vandermonde_condition: float
 
 
-def rhs_value(lam: complex, cluster_radius: float = 1e-8) -> complex:
+def rhs_value(lam: complex) -> complex:
     """Right-hand side of the linear system at one eigenvalue.
 
     Evaluates -(e^lam - 1) / (lam (2 - e^lam)), the cancellation-reduced
@@ -81,7 +57,7 @@ def rhs_value(lam: complex, cluster_radius: float = 1e-8) -> complex:
     an eigenvalue, so hitting it signals a bad input node.
     """
     lam = as_finite_complex(lam, "lambda")
-    if abs(lam) <= cluster_radius:
+    if abs(lam) <= CLUSTER_RADIUS:
         raise InputError(f"lambda = {lam!r} is an excluded (origin) node")
     if lam.real > 350.0:
         # e^lam overflows; multiply through by e^{-lam}
@@ -144,7 +120,7 @@ def condition_estimate(nodes) -> float:
     return norm1 * inv_norm
 
 
-def vandermonde_solve(nodes, values, tol: Tolerances | None = None) -> Polynomial:
+def vandermonde_solve(nodes, values) -> Polynomial:
     """Unique degree-n polynomial with A(node_i) = value_i.
 
     Solved by the structured progressive elimination.  Raises
@@ -152,10 +128,10 @@ def vandermonde_solve(nodes, values, tol: Tolerances | None = None) -> Polynomia
     problem itself is ill-posed, and no solver would give a trustworthy
     answer.
     """
-    return _solve(nodes, values, tol or Tolerances())[0]
+    return _solve(nodes, values)[0]
 
 
-def _solve(nodes, values, tol: Tolerances) -> tuple[Polynomial, float]:
+def _solve(nodes, values) -> tuple[Polynomial, float]:
     """vandermonde_solve, also returning the condition estimate it used."""
     nodes = np.asarray([as_finite_complex(z, "node") for z in nodes], dtype=complex)
     values = np.asarray([as_finite_complex(v, "value") for v in values], dtype=complex)
@@ -167,10 +143,10 @@ def _solve(nodes, values, tol: Tolerances) -> tuple[Polynomial, float]:
         raise InputError("need at least one node")
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if abs(nodes[i] - nodes[j]) <= tol.cluster_radius:
+            if abs(nodes[i] - nodes[j]) <= CLUSTER_RADIUS:
                 raise InputError(
                     f"duplicate interpolation nodes {i} and {j}: "
-                    f"{nodes[i]!r} vs {nodes[j]!r}"
+                    f"{complex(nodes[i])!r} vs {complex(nodes[j])!r}"
                 )
     cond = condition_estimate(nodes)
     if cond > _CONDITION_LIMIT:
@@ -196,6 +172,8 @@ def select_reconstruction_nodes(spectrum: Spectrum, degree: int) -> tuple[comple
     Small-modulus nodes empirically give the best Vandermonde conditioning;
     ties break by (re, im) so the choice is deterministic.
     """
+    if degree < 0:
+        raise InputError(f"degree must be >= 0, got {degree}")
     values = [complex(z) for z in spectrum.values]
     if len(values) < degree + 1:
         raise InputError(
@@ -205,21 +183,19 @@ def select_reconstruction_nodes(spectrum: Spectrum, degree: int) -> tuple[comple
     return tuple(values[: degree + 1])
 
 
-def reconstruct_coeffs(
-    inp: ReconstructionInput, tol: Tolerances | None = None
-) -> ReconstructionResult:
-    """Solve the eigenvalue-pinned Vandermonde system and audit the result.
+def reconstruct_coeffs(nodes) -> ReconstructionResult:
+    """Recover the degree len(nodes) - 1 polynomial pinned by these eigenvalues.
 
-    Residuals of the scaled determinant are recomputed at every node with
-    the recovered coefficients; they must stay below residual_tol times the
-    condition estimate.
+    The nodes must be nonzero and pairwise distinct.  Residuals of the
+    scaled determinant are recomputed at every node with the recovered
+    coefficients; they must stay below RESIDUAL_TOL times the condition
+    estimate.
     """
-    tol = tol or Tolerances()
-    values = [rhs_value(z, inp.cluster_radius) for z in inp.nodes]
-    poly, cond = _solve(inp.nodes, values, tol)
+    values = [rhs_value(z) for z in nodes]
+    poly, cond = _solve(nodes, values)
     prob = BoundaryPolynomialProblem(poly)
-    residuals = tuple(abs(delta_scaled_eval(prob, z)) for z in inp.nodes)
-    bound = tol.residual_tol * cond
+    residuals = tuple(abs(delta_scaled_eval(prob, z)) for z in nodes)
+    bound = RESIDUAL_TOL * cond
     worst = max(residuals)
     if worst > bound:
         raise NumericalError(

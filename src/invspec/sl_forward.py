@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import Spectrum, Tolerances, as_finite_float
+from .core import RESIDUAL_TOL, Spectrum, as_finite_float, as_positive_tol
 from .errors import BracketingError, InputError, IntegrationError, NumericalError
 from .potentials import Potential
 
@@ -34,6 +34,8 @@ _GAUSS_OFF = math.sqrt(3.0) / 6.0
 _COMM_COEF = math.sqrt(3.0) / 12.0
 _EPS = math.ulp(1.0)
 _RENORM_LIMIT = 1e6
+# relative stop width of eigenvalue refinement; shots run at EIG_TOL / 100
+EIG_TOL = 1e-10
 
 
 def _step(qf, lam, x, h, y, p):
@@ -162,11 +164,11 @@ def _integrate(qf, breaks, lam, loc_tol, track_phase):
     return y, p, psi
 
 
-def _shooters(q: Potential, tol: Tolerances):
+def _shooters(q: Potential, eig_tol: float = EIG_TOL):
     """count_below(mu): eigenvalues below mu, from the phase; miss(lam): (y'(1), y(1))."""
     qf = q.evaluator()
     breaks = q.breakpoints()
-    loc_tol = tol.eig_tol / 100.0
+    loc_tol = eig_tol / 100.0
 
     def count_below(mu: float) -> int:
         _, _, psi = _integrate(qf, breaks, mu, loc_tol, True)
@@ -180,17 +182,17 @@ def _shooters(q: Potential, tol: Tolerances):
     return count_below, miss
 
 
-def shoot_miss(q: Potential, lam: float, tol: Tolerances | None = None) -> float:
+def shoot_miss(q: Potential, lam: float) -> float:
     """Renormalized y'(1) of the shot solution; zero exactly at Neumann eigenvalues."""
     lam = as_finite_float(lam, "lambda")
-    _, miss = _shooters(q, tol or Tolerances())
+    _, miss = _shooters(q)
     return miss(lam)[0]
 
 
-def eigenvalue_count_below(q: Potential, mu: float, tol: Tolerances | None = None) -> int:
+def eigenvalue_count_below(q: Potential, mu: float) -> int:
     """Number of Neumann eigenvalues strictly below mu (phase multiples of pi at x=1)."""
     mu = as_finite_float(mu, "mu")
-    count_below, _ = _shooters(q, tol or Tolerances())
+    count_below, _ = _shooters(q)
     return count_below(mu)
 
 
@@ -204,18 +206,20 @@ def mean_value(q: Potential) -> float:
     return float((w @ vals) / (3.0 * 2000))
 
 
-def _width_stop(a: float, b: float, tol: Tolerances) -> float:
+def _width_stop(a: float, b: float, eig_tol: float) -> float:
     # eig_tol is a relative width target; it saturates to absolute near zero
-    return max(tol.eig_tol * max(1.0, abs(a), abs(b)), 8.0 * _EPS * max(abs(a), abs(b), 1.0))
+    return max(eig_tol * max(1.0, abs(a), abs(b)), 8.0 * _EPS * max(abs(a), abs(b), 1.0))
 
 
-def _refine_bracket(miss, a, fa, b, fb, tol: Tolerances):
+def _refine_bracket(miss, a, fa, ya, b, fb, yb, eig_tol: float):
     """Shrink a sign-change bracket of y'(1) until its width is below eig_tol.
 
+    miss(lam) gives (y'(1), y(1)); fa, ya and fb, yb are those at a and b.
     Illinois-damped false position: secant candidates are clamped no closer
     than half the stop width to an endpoint, and any step that fails to
     halve the bracket forces a bisection next, so progress is guaranteed.
-    Ends with one guarded secant polish on the final interval.
+    Ends with one guarded secant polish on the final interval, and returns
+    (lam, y'(1), y(1)) at the point of least |y'(1)|.
     """
     it = 0
     side = 0
@@ -223,7 +227,7 @@ def _refine_bracket(miss, a, fa, b, fb, tol: Tolerances):
     fa_true, fb_true = fa, fb
     while True:
         width = b - a
-        xtol = _width_stop(a, b, tol)
+        xtol = _width_stop(a, b, eig_tol)
         if width <= xtol:
             break
         x = None
@@ -239,16 +243,16 @@ def _refine_bracket(miss, a, fa, b, fb, tol: Tolerances):
         if x is None:
             x = 0.5 * (a + b)
             side = 0
-        fx = miss(x)
+        fx, yx = miss(x)
         if fx == 0.0:
-            return x, 0.0
+            return x, 0.0, yx
         if (fx > 0.0) == (fa_true > 0.0):
-            a, fa, fa_true = x, fx, fx
+            a, fa, fa_true, ya = x, fx, fx, yx
             if side == -1:
                 fb *= 0.5
             side = -1
         else:
-            b, fb, fb_true = x, fx, fx
+            b, fb, fb_true, yb = x, fx, fx, yx
             if side == 1:
                 fa *= 0.5
             side = 1
@@ -261,22 +265,25 @@ def _refine_bracket(miss, a, fa, b, fb, tol: Tolerances):
         x = min(max(x, a), b)
     else:
         x = 0.5 * (a + b)
-    fx = miss(x)
-    best = min(((abs(fa_true), a, fa_true), (abs(fb_true), b, fb_true), (abs(fx), x, fx)))
-    return best[1], best[2]
+    fx, yx = miss(x)
+    best = min(
+        ((abs(fa_true), a, fa_true, ya), (abs(fb_true), b, fb_true, yb), (abs(fx), x, fx, yx))
+    )
+    return best[1:]
 
 
-def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None) -> Spectrum:
+def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> Spectrum:
     """First `count` Neumann eigenvalues of -y'' + q y = lam y, each of multiplicity 1.
 
     Each eigenvalue is isolated by the phase-counting function, then refined
-    on the sign of y'(1).  Raises BracketingError if the search window fails
-    to capture an eigenvalue even after widening 10x.
+    on the sign of y'(1) to a relative width of eig_tol.  Raises
+    BracketingError if the search window fails to capture an eigenvalue
+    even after widening 10x.
     """
-    tol = tol or Tolerances()
+    eig_tol = as_positive_tol(eig_tol, "eig_tol")
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    count_below, miss = _shooters(q, tol)
+    count_below, miss = _shooters(q, eig_tol)
     qbar = mean_value(q)
     margin = max(2.0, q.total_variation() + 1.0)
 
@@ -319,8 +326,8 @@ def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None)
             if it > 200:
                 raise BracketingError(k, (a, b))
 
-        fa, _ = miss(a)
-        fb, _ = miss(b)
+        fa, ya = miss(a)
+        fb, yb = miss(b)
         nudge = 1e-9 * (1.0 + abs(a))
         tries = 0
         while fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
@@ -331,17 +338,16 @@ def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None)
             a -= nudge
             b += nudge
             nudge *= 10.0
-            fa, _ = miss(a)
-            fb, _ = miss(b)
+            fa, ya = miss(a)
+            fb, yb = miss(b)
         if fa == 0.0:
-            lam_k, f_k = a, 0.0
+            lam_k, f_k, y_end = a, 0.0, ya
         elif fb == 0.0:
-            lam_k, f_k = b, 0.0
+            lam_k, f_k, y_end = b, 0.0, yb
         else:
-            lam_k, f_k = _refine_bracket(lambda t: miss(t)[0], a, fa, b, fb, tol)
+            lam_k, f_k, y_end = _refine_bracket(miss, a, fa, ya, b, fb, yb, eig_tol)
 
-        _, y_end = miss(lam_k)
-        floor = tol.residual_tol * (1.0 + abs(y_end) + abs(lam_k))
+        floor = RESIDUAL_TOL * (1.0 + abs(y_end) + abs(lam_k))
         if abs(f_k) > floor:
             raise NumericalError(
                 f"eigenvalue #{k} residual {abs(f_k):.3e} exceeds floor {floor:.3e}"
@@ -349,7 +355,7 @@ def neumann_eigenvalues(q: Potential, count: int, tol: Tolerances | None = None)
         if values and lam_k <= values[-1]:
             raise NumericalError(f"eigenvalue #{k} not above its predecessor")
         values.append(lam_k)
-        lo = lam_k + max(4.0 * tol.eig_tol, 1e-10 * (1.0 + abs(lam_k)))
+        lo = lam_k + max(4.0 * eig_tol, 1e-10 * (1.0 + abs(lam_k)))
 
     gate = max(1.0, q.total_variation())
     for n in range(5, count):
@@ -375,12 +381,12 @@ def free_spectrum_verdict(spectrum: Spectrum, tol: float) -> bool:
     )
 
 
-def rayleigh_mean_gap(q: Potential, tol: Tolerances | None = None) -> tuple[float, float]:
+def rayleigh_mean_gap(q: Potential) -> tuple[float, float]:
     """(first eigenvalue, mean of q).
 
     The constant trial function makes the first eigenvalue at most the mean;
     equality holds exactly for constant q, so a strict gap witnesses a
     non-constant potential.
     """
-    lam0 = neumann_eigenvalues(q, 1, tol).values[0]
+    lam0 = neumann_eigenvalues(q, 1).values[0]
     return lam0, mean_value(q)

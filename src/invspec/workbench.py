@@ -16,20 +16,17 @@ import numpy as np
 
 from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
 from .core import (
+    CLUSTER_RADIUS,
     Polynomial,
     RoundTripReport,
     Spectrum,
-    Tolerances,
+    as_positive_tol,
     poly_max_abs_diff,
     spectra_match,
 )
 from .errors import InputError, TooFewRootsError
 from .fileio import load_potential
-from .reconstruct import (
-    ReconstructionInput,
-    reconstruct_coeffs,
-    select_reconstruction_nodes,
-)
+from .reconstruct import reconstruct_coeffs, select_reconstruction_nodes
 from .sl_forward import free_spectrum_verdict, neumann_eigenvalues
 
 __all__ = [
@@ -48,23 +45,22 @@ DEFAULT_BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
 # box widening is capped: factor 4 per retry, at most 3 retries
 _WIDEN_FACTOR = 4.0
 _MAX_WIDENINGS = 3
+_COEFF_BOUND = 2.0
+_MAX_ROOTS = 80
+# two determinant spectra match when paired roots lie within this distance
+_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     degree_range: tuple[int, int] = (0, 3)
-    coeff_bound: float = 2.0
     search_box: SearchBox = field(default_factory=lambda: DEFAULT_BOX)
-    tolerances: Tolerances = field(default_factory=Tolerances)
     trials: int = 1
-    max_roots: int = 80
 
     def __post_init__(self):
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
-        if not self.coeff_bound > 0.0:
-            raise InputError(f"coeff_bound must be positive, got {self.coeff_bound}")
         lo, hi = self.degree_range
         if lo < 0 or hi < lo:
             raise InputError(f"bad degree range {self.degree_range}")
@@ -94,20 +90,17 @@ class CompareReport:
 def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int) -> Spectrum:
     box = cfg.search_box
     for _ in range(_MAX_WIDENINGS + 1):
-        roots = find_det_eigenvalues(prob, box, cfg.max_roots, cfg.tolerances)
+        roots = find_det_eigenvalues(prob, box, _MAX_ROOTS)
         if len(roots) >= needed:
             return roots
         box = box.widened(_WIDEN_FACTOR)
     raise TooFewRootsError(needed, roots.values)
 
 
-def _recover(a: Polynomial, roots: Spectrum, cfg: ExperimentConfig, start: float):
+def _recover(a: Polynomial, roots: Spectrum, start: float):
     """Recover a from its located roots; wall time counts from perf_counter() = start."""
     nodes = select_reconstruction_nodes(roots, a.degree)
-    rec = reconstruct_coeffs(
-        ReconstructionInput(nodes, a.degree, cfg.tolerances.cluster_radius),
-        cfg.tolerances,
-    )
+    rec = reconstruct_coeffs(nodes)
     return RoundTripReport(
         true_coeffs=a,
         recovered=rec.coefficients,
@@ -127,14 +120,14 @@ def roundtrip(a: Polynomial, cfg: ExperimentConfig) -> RoundTripReport:
         )
     start = time.perf_counter()
     roots = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
-    return _recover(a, roots, cfg, start)
+    return _recover(a, roots, start)
 
 
 def run_seeded_suite(cfg: ExperimentConfig) -> tuple[RoundTripReport, ...]:
     """cfg.trials independent round trips with seeded random coefficients.
 
-    Coefficients are drawn independently and uniformly from
-    [-coeff_bound, coeff_bound]; degrees uniformly from degree_range.
+    Coefficients are drawn independently and uniformly from [-2, 2];
+    degrees uniformly from degree_range.
     Identical configs produce identical reports (modulo wall time).
     """
     rng = np.random.default_rng(cfg.seed)
@@ -142,7 +135,7 @@ def run_seeded_suite(cfg: ExperimentConfig) -> tuple[RoundTripReport, ...]:
     reports = []
     for _ in range(cfg.trials):
         degree = int(rng.integers(lo, hi + 1))
-        coeffs = tuple(float(c) for c in rng.uniform(-cfg.coeff_bound, cfg.coeff_bound, degree + 1))
+        coeffs = tuple(float(c) for c in rng.uniform(-_COEFF_BOUND, _COEFF_BOUND, degree + 1))
         reports.append(roundtrip(Polynomial(coeffs), cfg))
     return tuple(reports)
 
@@ -159,16 +152,16 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
             f"probe needs equal degrees, got {a.degree} vs {a_tilde.degree}"
         )
     sep = poly_max_abs_diff(a, a_tilde)
-    if 0.0 < sep < 10.0 * cfg.tolerances.cluster_radius:
+    if 0.0 < sep < 10.0 * CLUSTER_RADIUS:
         raise InputError(
             f"polynomials are distinct but closer than 10x the cluster radius ({sep:.3e})"
         )
     start = time.perf_counter()
     roots_a = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
     roots_b = _roots_with_widening(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
-    matched = spectra_match(roots_a, roots_b, cfg.tolerances.match_tol)
-    rep_a = _recover(a, roots_a, cfg, start)
-    rep_b = _recover(a_tilde, roots_b, cfg, start)
+    matched = spectra_match(roots_a, roots_b, _MATCH_TOL)
+    rep_a = _recover(a, roots_a, start)
+    rep_b = _recover(a_tilde, roots_b, start)
     own = all(r.max_coeff_error <= 1e-6 * max(1.0, r.condition) for r in (rep_a, rep_b))
     return UniquenessReport(
         spectra_matched=matched,
@@ -180,24 +173,18 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
     )
 
 
-def compare_neumann(
-    path_a,
-    path_b,
-    count: int,
-    match_tol: float,
-    tolerances: Tolerances | None = None,
-) -> CompareReport:
+def compare_neumann(path_a, path_b, count: int, match_tol: float) -> CompareReport:
     """Compare the Neumann spectra of two potential files.
 
     Reports per-index gaps and, when both spectra sit on the free spectrum
     within match_tol, raises the zero-potential flag: agreement with the
     free spectrum forces a vanishing potential.
     """
-    tol = tolerances or Tolerances()
+    match_tol = as_positive_tol(match_tol, "match_tol")
     qa = load_potential(path_a)
     qb = load_potential(path_b)
-    sa = neumann_eigenvalues(qa, count, tol)
-    sb = neumann_eigenvalues(qb, count, tol)
+    sa = neumann_eigenvalues(qa, count)
+    sb = neumann_eigenvalues(qb, count)
     gaps = tuple(abs(x - y) for x, y in zip(sa.values, sb.values))
     matched = spectra_match(sa, sb, match_tol)
     free_a = free_spectrum_verdict(sa, match_tol)

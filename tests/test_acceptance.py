@@ -195,9 +195,7 @@ def test_criterion_8_roundtrip_theorem_witness():
     failures = []
     conditions = []
     for degree in (0, 1, 2, 3):
-        cfg = ExperimentConfig(
-            seed=800 + degree, degree_range=(degree, degree), coeff_bound=2.0, trials=20
-        )
+        cfg = ExperimentConfig(seed=800 + degree, degree_range=(degree, degree), trials=20)
         reports = run_seeded_suite(cfg)
         for r in reports:
             conditions.append(r.condition)

@@ -7,6 +7,7 @@ empty without any error, so this pins the surface.
 """
 
 import importlib
+import math
 import os
 import sys
 
@@ -48,7 +49,23 @@ def test_wrapped_name_resolves_to_its_span_prefix(module_name, name, kind):
 
 
 def test_shot_ladder_entry_points_exist():
-    from invspec import sl_forward
+    # the argument shapes perfbench/run.py and perfbench/workloads.py use
+    from invspec import (
+        BoundaryPolynomialProblem,
+        ConstantPotential,
+        ExperimentConfig,
+        Polynomial,
+        SearchBox,
+        count_zeros,
+        sl_forward,
+        workbench,
+    )
 
-    assert callable(sl_forward.shoot_miss)
-    assert callable(sl_forward.eigenvalue_count_below)
+    q = ConstantPotential(1.0)
+    assert math.isfinite(sl_forward.shoot_miss(q, 1e2))
+    assert sl_forward.eigenvalue_count_below(q, 1e2) == 4
+    p = Polynomial((1.0, 2.0))
+    assert count_zeros(BoundaryPolynomialProblem(p), SearchBox(-8.0, 8.0, -30.0, 30.0)) > 0
+    report = workbench.roundtrip(p, ExperimentConfig(degree_range=(1, 1)))
+    assert report.max_coeff_error <= 1e-6 * report.condition
+    assert len(sl_forward.neumann_eigenvalues(q, 8)) == 8

@@ -10,7 +10,6 @@ from invspec import (
     MaxRootsExceededError,
     Polynomial,
     SearchBox,
-    Tolerances,
     count_zeros,
     delta_deriv,
     delta_eval,
@@ -20,6 +19,7 @@ from invspec import (
     y1_eval,
     y2_eval,
 )
+from invspec.core import RESIDUAL_TOL
 from oracles import mp_delta, mp_real_root_bisect
 
 TWO_PI = 2.0 * math.pi
@@ -203,16 +203,15 @@ def test_find_max_roots_exceeded():
 
 
 def test_seeded_roots_residuals_and_consistency(rng):
-    tol = Tolerances()
     box = SearchBox(-8.0, 8.0, -30.0, 30.0)
     for degree in (1, 2):
         p = seeded_problem(rng, degree)
-        roots = find_det_eigenvalues(p, box, 64, tol)
+        roots = find_det_eigenvalues(p, box, 64)
         assert roots, "expected at least one zero in the default box"
         for r in roots:
-            bound = tol.residual_tol * (1.0 + abs(r.value * p.poly(r.value)))
+            bound = RESIDUAL_TOL * (1.0 + abs(r.value * p.poly(r.value)))
             assert abs(delta_scaled_eval(p, r.value)) <= bound
-        assert count_zeros(p, box, tol) == sum(r.multiplicity for r in roots)
+        assert count_zeros(p, box) == sum(r.multiplicity for r in roots)
 
 
 def test_conjugate_symmetry_and_pairing(rng):

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from invspec.cli import main
-from invspec import ConstantPotential
+from invspec import ConstantPotential, CosinePotential
 from invspec.fileio import emit_potential, parse_report, parse_spectrum
 from oracles import mp_dhat
 
@@ -162,6 +162,33 @@ def test_empty_spectrum_file_gives_exit_two(tmp_path, capsys):
     rc = main(["reconstruct", "--degree", "0", "--eigs", empty])
     assert rc == 2
     assert "entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--potential", "{c}", "--count", "2", "--tol", "0"],
+        ["eigen", "--potential", "{c}", "--count", "2", "--tol", "nan"],
+        ["compare", "--potential-a", "{cos}", "--potential-b", "{c}", "--count", "3", "--tol", "nan"],
+        ["compare", "--potential-a", "{c}", "--potential-b", "{c}", "--count", "3", "--tol", "-1"],
+    ],
+)
+def test_tolerance_must_be_finite_and_positive(tmp_path, argv, capsys):
+    paths = {
+        "c": write(tmp_path, "c.json", emit_potential(ConstantPotential(5.0))),
+        "cos": write(tmp_path, "cos.json", emit_potential(CosinePotential(1.0, 1))),
+    }
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol" in captured.err
+
+
+def test_repeated_spectrum_entry_gives_exit_two(tmp_path, capsys):
+    dup = write(tmp_path, "dup.json",
+                '{"entries": [{"re": 1.0, "multiplicity": 1}, {"re": 1.0, "multiplicity": 1}]}')
+    assert main(["reconstruct", "--degree", "1", "--eigs", dup]) == 2
+    assert "$.entries" in capsys.readouterr().err
 
 
 def test_bad_subcommand_arguments():

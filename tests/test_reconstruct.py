@@ -9,7 +9,6 @@ from invspec import (
     InputError,
     NumericalError,
     Polynomial,
-    ReconstructionInput,
     SearchBox,
     Spectrum,
     condition_estimate,
@@ -78,7 +77,7 @@ def test_vandermonde_ill_conditioned_nodes_raise():
     with pytest.raises(NumericalError, match="condition"):
         vandermonde_solve(nodes, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NumericalError, match="condition"):
-        reconstruct_coeffs(ReconstructionInput(nodes, 3))
+        reconstruct_coeffs(nodes)
 
 
 def test_vandermonde_matches_extended_precision_oracle(rng):
@@ -126,11 +125,11 @@ def test_condition_monotone_gate(rng):
 
 def test_reconstruction_input_validation():
     with pytest.raises(InputError):
-        ReconstructionInput((1.0 + 0j,), 1)
+        reconstruct_coeffs(())
     with pytest.raises(InputError):
-        ReconstructionInput((0.0 + 0j,), 0)
-    with pytest.raises(InputError):
-        ReconstructionInput((1.0 + 0j, 1.0 + 1e-10j), 1)
+        reconstruct_coeffs((0.0 + 0j,))
+    with pytest.raises(InputError, match=r": \(1\+0j\) vs \(1\+1e-10j\)$"):
+        reconstruct_coeffs((1.0 + 0j, 1.0 + 1e-10j))
 
 
 def test_reconstruct_from_interpolation_identity(rng):
@@ -146,7 +145,7 @@ def test_reconstruct_from_interpolation_identity(rng):
 
 def test_reconstruct_degree_zero_from_oracle_root():
     root = float(mp_real_root_bisect((1.0,), 1.0, 2.0))
-    rec = reconstruct_coeffs(ReconstructionInput((complex(root),), 0))
+    rec = reconstruct_coeffs((complex(root),))
     assert abs(rec.coefficients.coeffs[0] - 1.0) <= 1e-9
     assert rec.vandermonde_condition == 1.0
 
@@ -155,7 +154,7 @@ def test_reconstruct_degree_one_roundtrip():
     truth = Polynomial((1.0, 2.0))
     roots = find_det_eigenvalues(BoundaryPolynomialProblem(truth), BOX, 64)
     nodes = select_reconstruction_nodes(roots, 1)
-    rec = reconstruct_coeffs(ReconstructionInput(nodes, 1))
+    rec = reconstruct_coeffs(nodes)
     assert poly_max_abs_diff(truth, rec.coefficients) <= 1e-7
     assert max(rec.node_residuals) <= 1e-9 * rec.vandermonde_condition
 
@@ -164,10 +163,10 @@ def test_permutation_invariance():
     truth = Polynomial((0.7, -1.2, 0.4))
     roots = find_det_eigenvalues(BoundaryPolynomialProblem(truth), BOX, 64)
     nodes = list(select_reconstruction_nodes(roots, 2))
-    base = reconstruct_coeffs(ReconstructionInput(tuple(nodes), 2)).coefficients
+    base = reconstruct_coeffs(tuple(nodes)).coefficients
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         shuffled = tuple(nodes[i] for i in perm)
-        rec = reconstruct_coeffs(ReconstructionInput(shuffled, 2)).coefficients
+        rec = reconstruct_coeffs(shuffled).coefficients
         assert poly_max_abs_diff(base, rec) <= 1e-12
 
 
@@ -181,7 +180,7 @@ def test_conjugate_closure_gives_real_coefficients():
         for w in values
         if z.imag > 1e-6 and abs(z.conjugate() - w) <= 1e-8
     )
-    rec = reconstruct_coeffs(ReconstructionInput(pair, 1))
+    rec = reconstruct_coeffs(pair)
     assert max(abs(c.imag) for c in rec.coefficients.coeffs) <= 1e-10
     assert poly_max_abs_diff(truth, rec.coefficients) <= 1e-7
 
@@ -192,6 +191,8 @@ def test_node_selection_policy():
     assert picked == (-1.0 + 0j, 1.0 + 0j)
     with pytest.raises(InputError):
         select_reconstruction_nodes(values, 5)
+    with pytest.raises(InputError):
+        select_reconstruction_nodes(values, -1)
 
 
 def test_uniqueness_on_separated_pairs(rng):
@@ -205,7 +206,7 @@ def test_uniqueness_on_separated_pairs(rng):
         assert poly_max_abs_diff(a, b) >= 0.1
         roots = find_det_eigenvalues(BoundaryPolynomialProblem(a), BOX, 64)
         nodes = select_reconstruction_nodes(roots, degree)
-        rec = reconstruct_coeffs(ReconstructionInput(nodes, degree))
+        rec = reconstruct_coeffs(nodes)
         err_a = poly_max_abs_diff(rec.coefficients, a)
         err_b = poly_max_abs_diff(rec.coefficients, b)
         assert err_a <= 1e-6 * max(1.0, rec.vandermonde_condition)

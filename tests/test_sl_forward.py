@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from invspec import sl_forward
 from invspec import (
     ConstantPotential,
     CosinePotential,
     GridPotential,
     InputError,
+    PolyPotential,
     Spectrum,
     eigenvalue_count_below,
     free_spectrum_verdict,
@@ -110,6 +112,30 @@ def test_eigenvalue_simplicity(rng):
 def test_count_requires_positive():
     with pytest.raises(InputError):
         neumann_eigenvalues(ConstantPotential(0.0), 0)
+    with pytest.raises(InputError):
+        neumann_eigenvalues(ConstantPotential(0.0), 1, eig_tol=0.0)
+
+
+def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
+    # y(1) for the residual floor comes out of the refinement, not a second shot
+    shots = []
+    integrate = sl_forward._integrate
+
+    def recording(qf, breaks, lam, loc_tol, track_phase):
+        if not track_phase:
+            shots.append(lam)
+        return integrate(qf, breaks, lam, loc_tol, track_phase)
+
+    monkeypatch.setattr(sl_forward, "_integrate", recording)
+    for q in (
+        ConstantPotential(1.5),
+        GridPotential((0.0, 0.4, 1.0), (1.0, -2.0, 0.5)),
+        CosinePotential(1.0, 1),
+        PolyPotential((0.5, -1.0, 2.0)),
+    ):
+        shots.clear()
+        neumann_eigenvalues(q, 8)
+        assert len(shots) == len(set(shots))
 
 
 def test_neumann_spectrum_validates_monotone():

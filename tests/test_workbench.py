@@ -51,9 +51,7 @@ def test_roundtrip_degree_must_fit_range():
 
 
 def test_roundtrip_too_few_roots():
-    cfg = ExperimentConfig(
-        search_box=SearchBox(0.1, 0.2, 0.1, 0.2), degree_range=(0, 0), max_roots=8
-    )
+    cfg = ExperimentConfig(search_box=SearchBox(0.1, 0.2, 0.1, 0.2), degree_range=(0, 0))
     with pytest.raises(TooFewRootsError):
         roundtrip(Polynomial((0.0,)), cfg)
 
