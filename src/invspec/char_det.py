@@ -254,6 +254,10 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     is small: the bound dominates the true phase change, so zeros lurking
     between samples cannot alias a full turn past the jump test.  A sample
     with |dhat| at or below RESIDUAL_TOL raises BoundaryZeroError.
+
+    The first pass tests every segment between contour samples at once, in
+    numpy.  Only the segments that fail it are bisected, one at a time and
+    in contour order, by the scalar loop.
     """
     pts = _edge_points(box, samples_per_unit=8.0)
     vals = delta_scaled_eval(prob, pts)
@@ -262,15 +266,20 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
         raise BoundaryZeroError(complex(pts[int(np.argmin(mags))]))
     ders = np.abs(delta_deriv(prob, pts))
 
-    total = 0.0
-    stack = []
-    for i in range(len(pts) - 1, 0, -1):
-        stack.append(
-            (
-                complex(pts[i - 1]), complex(vals[i - 1]), float(ders[i - 1]),
-                complex(pts[i]), complex(vals[i]), float(ders[i]),
-            )
+    jumps = np.angle(vals[1:] / vals[:-1])
+    excursions = (
+        np.abs(np.diff(pts)) * np.maximum(ders[:-1], ders[1:]) / np.minimum(mags[:-1], mags[1:])
+    )
+    accepted = (np.abs(jumps) < _HALF_PI) & (excursions <= 0.5)
+    total = float(jumps[accepted].sum())
+    # pushed last to first, so the stack pops them in contour order
+    stack = [
+        (
+            complex(pts[i]), complex(vals[i]), float(ders[i]),
+            complex(pts[i + 1]), complex(vals[i + 1]), float(ders[i + 1]),
         )
+        for i in np.flatnonzero(~accepted)[::-1].tolist()
+    ]
     while stack:
         z0, f0, d0, z1, f1, d1 = stack.pop()
         jump = cmath.phase(f1 / f0)

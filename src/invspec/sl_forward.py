@@ -347,7 +347,8 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
         else:
             lam_k, f_k, y_end = _refine_bracket(miss, a, fa, ya, b, fb, yb, eig_tol)
 
-        floor = RESIDUAL_TOL * (1.0 + abs(y_end) + abs(lam_k))
+        # a wider stop leaves y'(1) proportionally further from zero
+        floor = RESIDUAL_TOL * (1.0 + abs(y_end) + abs(lam_k)) * max(1.0, eig_tol / EIG_TOL)
         if abs(f_k) > floor:
             raise NumericalError(
                 f"eigenvalue #{k} residual {abs(f_k):.3e} exceeds floor {floor:.3e}"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from invspec import (
     BoundaryPolynomialProblem,
@@ -19,6 +21,7 @@ from invspec import (
     y1_eval,
     y2_eval,
 )
+from invspec import char_det
 from invspec.core import RESIDUAL_TOL
 from oracles import mp_delta, mp_real_root_bisect
 
@@ -177,6 +180,123 @@ def test_count_zeros_boundary_collision():
     # the top edge passes exactly through a zero
     with pytest.raises(BoundaryZeroError):
         count_zeros(prob(0.0), SearchBox(-1.0, 1.0, 0.5, TWO_PI))
+
+
+def spy_on_dhat(monkeypatch):
+    """Record the kind of every delta_scaled_eval call the winding makes."""
+    calls = []
+    real = char_det.delta_scaled_eval
+
+    def spy(p, lam):
+        calls.append("array" if isinstance(lam, np.ndarray) else "scalar")
+        return real(p, lam)
+
+    monkeypatch.setattr(char_det, "delta_scaled_eval", spy)
+    return calls
+
+
+def test_winding_first_pass_and_scalar_refinement(monkeypatch):
+    # the zero at 2 pi i sits just outside, then just inside, the top edge:
+    # the first pass rejects the segments nearest it and the scalar loop
+    # bisects them
+    p = prob(0.0)
+    calls = spy_on_dhat(monkeypatch)
+    for im_max, want in ((TWO_PI - 1e-3, 0), (TWO_PI + 1e-3, 1)):
+        calls.clear()
+        assert count_zeros(p, SearchBox(-1.0, 1.0, 0.5, im_max)) == want
+        assert calls.count("array") == 1
+        assert calls.count("scalar") > 0
+    # far from every zero the first pass accepts every segment
+    calls.clear()
+    assert count_zeros(p, SearchBox(-1.0, 1.0, 1.0, 5.0)) == 0
+    assert calls == ["array"]
+
+
+def scalar_winding(p, box):
+    """The winding as one scalar stack over every contour segment: the reference."""
+    pts = char_det._edge_points(box, samples_per_unit=8.0)
+    vals = delta_scaled_eval(p, pts)
+    if (np.abs(vals) <= RESIDUAL_TOL).any():
+        raise BoundaryZeroError(complex(pts[int(np.argmin(np.abs(vals)))]))
+    ders = np.abs(delta_deriv(p, pts))
+    stack = [
+        (complex(pts[i - 1]), complex(vals[i - 1]), float(ders[i - 1]),
+         complex(pts[i]), complex(vals[i]), float(ders[i]))
+        for i in range(len(pts) - 1, 0, -1)
+    ]
+    total = 0.0
+    while stack:
+        z0, f0, d0, z1, f1, d1 = stack.pop()
+        jump = cmath.phase(f1 / f0)
+        seg = abs(z1 - z0)
+        if abs(jump) < math.pi / 2 and seg * max(d0, d1) / min(abs(f0), abs(f1)) <= 0.5:
+            total += jump
+            continue
+        if seg < 1e-12 * (1.0 + abs(z0)):
+            if abs(jump) < math.pi / 2:
+                total += jump
+                continue
+            raise BoundaryZeroError(0.5 * (z0 + z1))
+        zm = 0.5 * (z0 + z1)
+        fm = delta_scaled_eval(p, zm)
+        if abs(fm) <= RESIDUAL_TOL:
+            raise BoundaryZeroError(zm)
+        dm = abs(delta_deriv(p, zm))
+        stack += [(zm, fm, dm, z1, f1, d1), (z0, f0, d0, zm, fm, dm)]
+    return round(total / TWO_PI)
+
+
+def test_winding_matches_scalar_reference(rng):
+    cases = []
+    for k in range(60):
+        re = np.sort(rng.uniform(-8.0, 8.0, 2))
+        im = np.sort(rng.uniform(-30.0, 30.0, 2))
+        cases.append((seeded_problem(rng, k % 4), SearchBox(re[0], re[1], im[0], im[1])))
+    # top edges a hair off, and exactly on, the zeros at 2 pi i n; re = 0
+    # is a contour sample of the first box and falls between samples of the
+    # second, where only bisection reaches it
+    for n in (1, 2, 3):
+        for re_min in (-1.0, -0.7):
+            for off in (-1e-9, -1e-11, 0.0, 1e-11, 1e-9):
+                cases.append((prob(0.0), SearchBox(re_min, re_min + 2.0, 0.5, n * TWO_PI + off)))
+    # zeros on the bottom and the top edge: the first in contour order is reported
+    cases.append((prob(0.0), SearchBox(-0.7, 1.3, -TWO_PI, TWO_PI)))
+    # the origin zero on the left edge, with a genuine zero at 0.046 inside:
+    # their phase turns nearly cancel across one segment, so only the
+    # derivative bound sends that segment to bisection
+    cases.append((prob(-1.0619591933207042, -0.2602097910994319), SearchBox(0.0, 8.0, -30.0, 0.66)))
+    for p, box in cases:
+        try:
+            want = scalar_winding(p, box)
+        except BoundaryZeroError as err:
+            with pytest.raises(BoundaryZeroError) as got:
+                char_det._winding_number(p, box)
+            assert got.value.location == err.location
+        else:
+            assert char_det._winding_number(p, box) == want
+
+
+def _box_in(lo, hi):
+    return st.tuples(
+        st.floats(lo, hi, allow_nan=False), st.floats(lo, hi, allow_nan=False)
+    ).filter(lambda t: abs(t[0] - t[1]) >= 0.05).map(sorted)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    coeffs=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=4),
+    re=_box_in(-8.0, 8.0),
+    im=_box_in(-30.0, 30.0),
+)
+def test_count_zeros_adds_over_quadrisection(coeffs, re, im):
+    p = prob(*coeffs)
+    box = SearchBox(re[0], re[1], im[0], im[1])
+    try:
+        whole = count_zeros(p, box)
+        parts = sum(count_zeros(p, kid) for kid in box.split(0.5, 0.511))
+    except BoundaryZeroError:
+        assume(False)
+    assert whole == parts
 
 
 def test_find_free_zero_set():

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from invspec.cli import main
-from invspec import ConstantPotential, CosinePotential
+from invspec import ConstantPotential, CosinePotential, GridPotential
 from invspec.fileio import emit_potential, parse_report, parse_spectrum
 from oracles import mp_dhat
 
@@ -182,6 +182,21 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tol" in captured.err
+
+
+def test_eigen_loose_tolerance_gives_loose_answer(tmp_path, capsys):
+    # the residual floor on y'(1) widens with --tol, so a loose stop width
+    # is a loose answer rather than an exit 1
+    pot = write(tmp_path, "grid.json",
+                emit_potential(GridPotential((0.0, 0.4, 1.0), (1.0, -2.0, 0.5))))
+    assert main(["eigen", "--potential", pot, "--count", "4"]) == 0
+    exact = parse_spectrum(capsys.readouterr().out).values
+    for tol in (1e-2, 1e-4):
+        assert main(["eigen", "--potential", pot, "--count", "4", "--tol", str(tol)]) == 0
+        loose = parse_spectrum(capsys.readouterr().out).values
+        assert len(loose) == 4
+        for got, want in zip(loose, exact):
+            assert abs(got - want) <= tol * max(1.0, abs(want))
 
 
 def test_repeated_spectrum_entry_gives_exit_two(tmp_path, capsys):
