@@ -12,9 +12,13 @@ shares all zeros of delta away from the origin, with equal multiplicities.
 dhat(0) = 0 is an artifact of the scaling and is always discounted.
 
 Zeros are located by the argument principle: adaptive boundary sampling of
-a rectangle gives the winding number (= zero count with multiplicity),
-recursive quadrisection isolates single zeros, and Newton polishing on
-dhat finishes them off.
+a rectangle gives the winding number (= zero count with multiplicity).  At
+a zero e^{-lam} = (lam A - 1)/(2 lam A - 1), which tends to 1/2 when A is
+not zero, so far from the origin the zeros sit near ln 2 + 2 pi i k, one
+per horizontal strip of height 2 pi.  The search box is therefore cut into
+such strips, each counted by one winding and, nearest the origin first,
+solved by Newton on dhat from its asymptotic zero; recursive quadrisection
+isolates the zeros of any strip Newton does not solve.
 """
 
 from __future__ import annotations
@@ -355,22 +359,48 @@ _SPLIT_FRACTIONS = (
 )
 
 
-def _collect_roots(prob, box: SearchBox, max_roots: int):
-    """Quadrisection search; returns (value, multiplicity) pairs, origin included."""
+# cut-line shifts, one per search attempt; each keeps the lines at least
+# 2.3 away from every asymptotic zero
+_CUT_SHIFTS = (0.0, 0.37, -0.29, 0.61, -0.53, 0.83)
+
+
+def _strips(box: SearchBox, shift: float):
+    """The box cut at Im = 2 pi (k + 1/2) + shift, nearest the origin first.
+
+    Each entry is (distance from the origin, strip, Newton start), the
+    start being the asymptotic zero ln 2 + 2 pi i k clamped into the strip.
+    """
+    re0 = min(max(math.log(2.0), box.re_min), box.re_max)
+    dx = max(box.re_min, 0.0, -box.re_max)
+    strips = []
+    k_lo = math.floor((box.im_min - shift) / _TWO_PI + 0.5)
+    for k in range(k_lo, math.ceil((box.im_max - shift) / _TWO_PI - 0.5) + 1):
+        lo = max(box.im_min, _TWO_PI * (k - 0.5) + shift)
+        hi = min(box.im_max, _TWO_PI * (k + 0.5) + shift)
+        if lo < hi:
+            strip = SearchBox(box.re_min, box.re_max, lo, hi)
+            start = complex(re0, min(max(_TWO_PI * k, lo), hi))
+            strips.append((math.hypot(dx, max(lo, 0.0, -hi)), strip, start))
+    # ties in distance break to the strip below, so the order is deterministic
+    return sorted(strips, key=lambda e: (e[0], e[1].im_min))
+
+
+def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, shift: float):
+    """Strip-by-strip search; returns (value, multiplicity) pairs, origin excluded.
+
+    Each strip gets one winding.  A strip of count 1 is solved by Newton
+    from its start; a strip that Newton misses, or that holds more zeros, is
+    quadrisected with its known count, so every count comes from a winding.
+    With `nearest`, the search stops before the first strip that lies
+    farther from the origin than the nearest-th smallest modulus located.
+    """
     found: list[tuple[complex, int]] = []
 
-    def genuine():
-        return sum(m for z, m in found if abs(z) > CLUSTER_RADIUS)
-
-    def visit(bx: SearchBox, count: int, depth: int):
+    def visit(bx: SearchBox, count: int, depth: int, start: complex):
         if count == 0:
             return
-        if genuine() + count > max_roots + 1:
-            raise MaxRootsExceededError(
-                max_roots, [z for z, _ in found if abs(z) > CLUSTER_RADIUS]
-            )
         if count == 1:
-            z = _newton_polish(prob, bx.center, bx)
+            z = _newton_polish(prob, start, bx)
             if z is not None and bx.contains(z):
                 found.append((z, 1))
                 return
@@ -400,28 +430,46 @@ def _collect_roots(prob, box: SearchBox, max_roots: int):
                 )
             raise BoundaryZeroError(bx.center)
         for k, c in zip(kids, counts):
-            visit(k, c, depth + 1)
+            visit(k, c, depth + 1, k.center)
 
-    visit(box, _winding_number(prob, box), 0)
-    return found
+    def genuine():
+        return [(z, m) for z, m in found if abs(z) > CLUSTER_RADIUS]
+
+    total = 0
+    for dist, strip, start in _strips(box, shift):
+        moduli = sorted(abs(z) for z, _ in genuine())
+        if nearest and len(moduli) >= nearest and moduli[nearest - 1] < dist:
+            break
+        count = count_zeros(prob, strip)
+        total += count
+        if total > max_roots:
+            raise MaxRootsExceededError(max_roots, [z for z, _ in genuine()])
+        if count:
+            visit(strip, count + strip.strictly_contains_origin(), 0, start)
+    return genuine()
 
 
 def find_det_eigenvalues(
-    prob: BoundaryPolynomialProblem, box: SearchBox, max_roots: int
+    prob: BoundaryPolynomialProblem, box: SearchBox, max_roots: int, nearest: int | None = None
 ) -> Spectrum:
-    """All determinant zeros in the box, polished and sorted by (re, im).
+    """Determinant zeros in the box, polished and sorted by (re, im).
 
-    The origin (an excluded eigenvalue) is filtered from the results.  A
-    zero sitting on the outer boundary triggers up to 5 retries with the
-    box nudged outward by multiples of the cluster radius.
+    With `nearest=n`, the search stops once the n smallest-modulus zeros in
+    the box are certified: zeros may be missing, but none with modulus at
+    or below the n-th smallest returned.  Without it, every zero in the
+    box.  The origin (an excluded eigenvalue) is never returned.  A zero on
+    the outer boundary or a cut line triggers up to 5 retries, each with the
+    cut lines shifted and the box nudged outward by the cluster radius.
     """
     if max_roots < 1:
         raise InputError(f"max_roots must be >= 1, got {max_roots}")
+    if nearest is not None and nearest < 1:
+        raise InputError(f"nearest must be >= 1, got {nearest}")
     eff = box
     last_err: BoundaryZeroError | None = None
-    for attempt in range(6):
+    for attempt, shift in enumerate(_CUT_SHIFTS):
         try:
-            raw = _collect_roots(prob, eff, max_roots)
+            roots = _collect_roots(prob, eff, max_roots, nearest, shift)
             break
         except BoundaryZeroError as err:
             last_err = err
@@ -431,7 +479,6 @@ def find_det_eigenvalues(
         assert last_err is not None
         raise last_err
 
-    roots = [(z, m) for z, m in raw if abs(z) > CLUSTER_RADIUS]
     roots.sort(key=lambda e: (e[0].real, e[0].imag))
     for z, _ in roots:
         residual = abs(delta_scaled_eval(prob, z))

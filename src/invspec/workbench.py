@@ -87,10 +87,10 @@ class CompareReport:
     zero_potential_flag: bool
 
 
-def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int) -> Spectrum:
+def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int, nearest=False) -> Spectrum:
     box = cfg.search_box
     for _ in range(_MAX_WIDENINGS + 1):
-        roots = find_det_eigenvalues(prob, box, _MAX_ROOTS)
+        roots = find_det_eigenvalues(prob, box, _MAX_ROOTS, nearest=needed if nearest else None)
         if len(roots) >= needed:
             return roots
         box = box.widened(_WIDEN_FACTOR)
@@ -119,7 +119,8 @@ def roundtrip(a: Polynomial, cfg: ExperimentConfig) -> RoundTripReport:
             f"polynomial degree {a.degree} outside configured range [{lo}, {hi}]"
         )
     start = time.perf_counter()
-    roots = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
+    # the s+1 nodes are the smallest-modulus roots, so the search stops once they are certified
+    roots = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1, nearest=True)
     return _recover(a, roots, start)
 
 
@@ -157,6 +158,7 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
             f"polynomials are distinct but closer than 10x the cluster radius ({sep:.3e})"
         )
     start = time.perf_counter()
+    # spectra_match compares whole spectra, so both searches cover the whole box
     roots_a = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
     roots_b = _roots_with_widening(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
     matched = spectra_match(roots_a, roots_b, _MATCH_TOL)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from invspec import (
     BoundaryPolynomialProblem,
     BoundaryZeroError,
+    InputError,
     MaxRootsExceededError,
     Polynomial,
     SearchBox,
@@ -18,11 +19,13 @@ from invspec import (
     delta_scaled_eval,
     find_det_eigenvalues,
     ode_residual,
+    rhs_value,
+    select_reconstruction_nodes,
     y1_eval,
     y2_eval,
 )
 from invspec import char_det
-from invspec.core import RESIDUAL_TOL
+from invspec.core import CLUSTER_RADIUS, RESIDUAL_TOL
 from oracles import mp_delta, mp_real_root_bisect
 
 TWO_PI = 2.0 * math.pi
@@ -372,3 +375,165 @@ def test_zero_pair_hugging_subdivision_line():
     assert len(small) == 1
     assert abs(small[0] - (-0.044513766784407494)) <= 1e-9
     assert count_zeros(p, box) == sum(r.multiplicity for r in roots)
+
+
+# -- strip search against the whole-box quadrisection ------------------------
+
+DEFAULT_BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
+
+
+def quadrisection_roots(p, box):
+    """The whole-box quadrisection search the strip search replaced: the reference.
+
+    One winding of the whole box, then quadrisection with Newton from each
+    count-1 box's centre; a zero on the boundary nudges the box outward.
+    """
+    def collect(bx):
+        found = []
+
+        def visit(b, count):
+            if count == 0:
+                return
+            if count == 1:
+                z = char_det._newton_polish(p, b.center, b)
+                if z is not None and b.contains(z):
+                    found.append((z, 1))
+                    return
+            if b.diameter <= CLUSTER_RADIUS:
+                found.append((b.center, count))
+                return
+            for fr, fi in char_det._SPLIT_FRACTIONS:
+                kids = b.split(fr, fi)
+                try:
+                    counts = [char_det._winding_number(p, k) for k in kids]
+                except BoundaryZeroError:
+                    continue
+                if sum(counts) == count:
+                    break
+            else:
+                raise BoundaryZeroError(b.center)
+            for k, c in zip(kids, counts):
+                visit(k, c)
+
+        visit(bx, char_det._winding_number(p, bx))
+        return found
+
+    for attempt in range(6):
+        try:
+            raw = collect(box)
+            break
+        except BoundaryZeroError:
+            box = box.expanded(CLUSTER_RADIUS * (attempt + 1) * 1.618)
+    else:
+        raise AssertionError("the reference search never left the boundary")
+    return [(z, m) for z, m in raw if abs(z) > CLUSTER_RADIUS]
+
+
+def assert_same_roots(got, want, rel=1e-12):
+    """Equal multiplicity sums, and every wanted root has a located neighbour."""
+    assert sum(got.multiplicities) == sum(m for _, m in want)
+    assert len(got) == len(want)
+    for z, _ in want:
+        assert min(abs(z - g) for g in got.values) <= rel * abs(z)
+
+
+def test_strip_search_matches_quadrisection_reference(rng):
+    boxes = (DEFAULT_BOX, SearchBox(-8.0, 8.0, -80.0, 80.0), SearchBox(-2.5, 4.0, 3.0, 25.0))
+    for i in range(60):
+        coeffs = rng.uniform(-2.0, 2.0, i % 4 + 1)
+        if (i // 4) % 2:
+            coeffs = coeffs + 1j * rng.uniform(-2.0, 2.0, i % 4 + 1)
+        p = prob(*(c.item() for c in coeffs))
+        box = boxes[i % 3]
+        assert_same_roots(find_det_eigenvalues(p, box, 80), quadrisection_roots(p, box))
+    # A = 0: the zeros sit at 2 pi i k, not near ln 2 + 2 pi i k, and the
+    # outer strips are clipped by the box
+    box = SearchBox(-1.0, 1.0, -20.0, 20.0)
+    assert_same_roots(find_det_eigenvalues(prob(0.0), box, 16), quadrisection_roots(prob(0.0), box))
+
+
+def test_zero_on_a_cut_line_shifts_the_lines(monkeypatch):
+    # A(lam) = rhs_value(z0) puts a zero of delta exactly at z0, on the first
+    # cut line Im = pi
+    z0 = 0.3 + math.pi * 1j
+    p = prob(rhs_value(z0))
+    assert abs(delta_scaled_eval(p, z0)) <= 1e-15
+    roots = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    assert len(roots) == 9
+    assert_same_roots(roots, quadrisection_roots(p, DEFAULT_BOX))
+    # nudging the outer box alone never moves a cut line off the zero
+    monkeypatch.setattr(char_det, "_CUT_SHIFTS", (0.0,) * 6)
+    with pytest.raises(BoundaryZeroError) as err:
+        find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    assert abs(err.value.location - z0) <= 1e-6
+
+
+def test_newton_miss_in_a_count_one_strip_quadrisects(monkeypatch):
+    # the box's one zero is -0.733; Newton from ln 2 clamped to the box's
+    # right edge, -0.1, runs to the artificial zero at the origin instead
+    p = prob(1.0, 2.0)
+    box = SearchBox(-8.0, -0.1, -3.0, 3.0)
+    starts = []
+    polish = char_det._newton_polish
+
+    def spy(pr, z, region):
+        result = polish(pr, z, region)
+        starts.append((z, result))
+        return result
+
+    monkeypatch.setattr(char_det, "_newton_polish", spy)
+    roots = find_det_eigenvalues(p, box, 8)
+    assert starts[0][0] == -0.1 and abs(starts[0][1]) <= 1e-12
+    assert len(starts) > 1
+    assert_same_roots(roots, [(-0.7331889155010706 + 0j, 1)])
+
+
+def test_box_edge_on_a_cut_line():
+    # this top edge rounds onto the cut line at Im = 13 pi, leaving an empty strip
+    box = SearchBox(-1.0, 1.0, TWO_PI * 6.5 - 20.0, TWO_PI * 6.5)
+    roots = find_det_eigenvalues(prob(0.0), box, 16)
+    assert_same_roots(roots, [(TWO_PI * k * 1j, 1) for k in (4, 5, 6)], rel=1e-9)
+
+
+def test_max_roots_counts_zeros_off_the_origin():
+    # the box holds 3 zeros and not the origin
+    box = SearchBox(-1.0, 1.0, 1.0, 20.0)
+    assert len(find_det_eigenvalues(prob(0.0), box, 3)) == 3
+    with pytest.raises(MaxRootsExceededError):
+        find_det_eigenvalues(prob(0.0), box, 2)
+
+
+def test_nearest_certifies_the_smallest_modulus_roots(rng):
+    for i in range(24):
+        s = i % 4
+        p = seeded_problem(rng, s)
+        full = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+        near = find_det_eigenvalues(p, DEFAULT_BOX, 80, nearest=s + 1)
+        # nothing at or below the (s+1)-th smallest returned modulus is missing
+        cut = sorted(abs(z) for z in near.values)[s]
+        want = [(z, m) for z, m in full if abs(z) <= cut]
+        assert all(min(abs(z - w) for w in near.values) <= 1e-12 * abs(z) for z, _ in want)
+        # conjugates whose moduli tie to the last bit may trade places
+        picked = select_reconstruction_nodes(near, s)
+        for z in select_reconstruction_nodes(full, s):
+            assert min(min(abs(z - w), abs(z.conjugate() - w)) for w in picked) <= 1e-12 * abs(z)
+
+
+def test_nearest_stops_early(monkeypatch):
+    windings = []
+    count = char_det._winding_number
+
+    def spy(p, box):
+        windings.append(box)
+        return count(p, box)
+
+    monkeypatch.setattr(char_det, "_winding_number", spy)
+    p = prob(0.7)
+    full = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    n_full = len(windings)
+    windings.clear()
+    near = find_det_eigenvalues(p, DEFAULT_BOX, 80, nearest=1)
+    assert len(windings) < n_full
+    assert len(near) < len(full)
+    with pytest.raises(InputError):
+        find_det_eigenvalues(p, DEFAULT_BOX, 80, nearest=0)

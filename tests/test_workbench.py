@@ -157,3 +157,23 @@ def test_compare_cosine_against_sampled_grid(tmp_path):
     assert max(report.gaps) <= 2.5e-4
     # index 1 carries the dominant interpolation shift
     assert report.gaps[1] == max(report.gaps)
+
+
+def test_only_roundtrip_stops_early(monkeypatch):
+    # uniqueness_probe compares whole spectra, so its searches must not stop early
+    calls = []
+
+    def recorded(*args, **kwargs):
+        roots = find_det_eigenvalues(*args, **kwargs)
+        calls.append((kwargs.get("nearest"), args, roots))
+        return roots
+
+    monkeypatch.setattr(workbench, "find_det_eigenvalues", recorded)
+    a, b = Polynomial((0.5, -1.0)), Polynomial((0.5, -0.6))
+    uniqueness_probe(a, b, ExperimentConfig())
+    assert [nearest for nearest, _, _ in calls] == [None, None]
+    for _, args, roots in calls:
+        assert len(roots) == len(find_det_eigenvalues(*args))
+    calls.clear()
+    roundtrip(a, ExperimentConfig())
+    assert [nearest for nearest, _, _ in calls] == [2]
