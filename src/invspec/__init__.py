@@ -36,12 +36,8 @@ from .char_det import (
     SearchBox,
     count_zeros,
     delta_deriv,
-    delta_eval,
     delta_scaled_eval,
     find_det_eigenvalues,
-    ode_residual,
-    y1_eval,
-    y2_eval,
 )
 from .reconstruct import (
     ReconstructionResult,
@@ -70,7 +66,6 @@ from .errors import (
     InvspecError,
     MaxRootsExceededError,
     NumericalError,
-    OverflowRangeError,
     SchemaError,
     TooFewRootsError,
 )

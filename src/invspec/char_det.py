@@ -5,11 +5,11 @@ spectral parameter entering the coefficients) to a boundary condition that
 carries a polynomial in the spectral parameter.  Its eigenvalues are the
 zeros of an entire function delta(lam); the overflow-safe scaled form
 
-    dhat(lam) = lam * exp(-2 lam) * delta(lam)
-              = (1 - exp(-lam)) + lam * A(lam) * (2 exp(-lam) - 1)
+    g(lam) = exp(-2 lam) * delta(lam)
+           = (1 - exp(-lam)) / lam + A(lam) * (2 exp(-lam) - 1)
 
-shares all zeros of delta away from the origin, with equal multiplicities.
-dhat(0) = 0 is an artifact of the scaling and is always discounted.
+is entire, with g(0) = 1 + a_0, and has exactly the zeros of delta with
+equal multiplicities, lam = 0 among them when a_0 = -1.
 
 Zeros are located by the argument principle: adaptive boundary sampling of
 a rectangle gives the winding number (= zero count with multiplicity).  At
@@ -17,7 +17,7 @@ a zero e^{-lam} = (lam A - 1)/(2 lam A - 1), which tends to 1/2 when A is
 not zero, so far from the origin the zeros sit near ln 2 + 2 pi i k, one
 per horizontal strip of height 2 pi.  The search box is therefore cut into
 such strips, each counted by one winding and, nearest the origin first,
-solved by Newton on dhat from its asymptotic zero; recursive quadrisection
+solved by Newton on g from its asymptotic zero; recursive quadrisection
 isolates the zeros of any strip Newton does not solve.
 """
 
@@ -38,28 +38,17 @@ from .core import (
     horner,
     poly_eval,
 )
-from .errors import (
-    BoundaryZeroError,
-    InputError,
-    MaxRootsExceededError,
-    NumericalError,
-    OverflowRangeError,
-)
+from .errors import BoundaryZeroError, InputError, MaxRootsExceededError, NumericalError
 
 __all__ = [
     "BoundaryPolynomialProblem",
     "SearchBox",
-    "y1_eval",
-    "y2_eval",
-    "ode_residual",
-    "delta_eval",
     "delta_scaled_eval",
     "delta_deriv",
     "count_zeros",
     "find_det_eigenvalues",
 ]
 
-_SERIES_CUT = 1e-6
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 
@@ -111,9 +100,6 @@ class SearchBox:
             and self.im_min - margin <= z.imag <= self.im_max + margin
         )
 
-    def strictly_contains_origin(self) -> bool:
-        return self.re_min < 0.0 < self.re_max and self.im_min < 0.0 < self.im_max
-
     def expanded(self, delta: float) -> "SearchBox":
         return SearchBox(
             self.re_min - delta, self.re_max + delta, self.im_min - delta, self.im_max + delta
@@ -137,98 +123,51 @@ class SearchBox:
         )
 
 
-def y1_eval(lam: complex, x: float) -> complex:
-    """First fundamental solution: value 1, slope 0 at x=0."""
-    lam = complex(lam)
-    return -cmath.exp(2.0 * lam * x) + 2.0 * cmath.exp(lam * x)
+# inside this modulus 1 - e^{-lam} cancels, so (1 - e^{-lam})/lam comes from
+# its Taylor series, whose dropped terms stay below 3e-18 there
+_SERIES_RADIUS = 0.1
+_G1_SERIES = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(11))
+_G1_DERIV_SERIES = tuple(k * c for k, c in enumerate(_G1_SERIES))[1:]
 
 
-def y2_eval(lam: complex, x: float) -> complex:
-    """Second fundamental solution: value 0, slope 1 at x=0.
-
-    The removable singularity at lam=0 is continued by the truncated series
-    x + (3/2) x^2 lam + (7/6) x^3 lam^2 + (5/8) x^4 lam^3 for |lam| < 1e-6.
-    """
-    lam = complex(lam)
-    if abs(lam) < _SERIES_CUT:
-        return x + lam * x * x * (1.5 + lam * x * (7.0 / 6.0 + lam * x * (15.0 / 24.0)))
-    return (cmath.exp(2.0 * lam * x) - cmath.exp(lam * x)) / lam
-
-
-def ode_residual(lam: complex, x: float) -> tuple[float, float]:
-    """Residuals |y'' - 3 lam y' + 2 lam^2 y| for both fundamental solutions.
-
-    Derivatives come from the closed exponential forms, so the residuals
-    measure only floating-point cancellation.
-    """
-    lam = complex(lam)
-    if abs(lam) < _SERIES_CUT:
-        raise InputError(f"ode_residual needs |lam| >= {_SERIES_CUT}, got {abs(lam)}")
-    if not 0.0 <= x <= 1.0:
-        raise InputError(f"x must be in [0,1], got {x}")
-    e1 = cmath.exp(lam * x)
-    e2 = cmath.exp(2.0 * lam * x)
-    lam2 = lam * lam
-    y1 = -e2 + 2.0 * e1
-    y1p = -2.0 * lam * e2 + 2.0 * lam * e1
-    y1pp = -4.0 * lam2 * e2 + 2.0 * lam2 * e1
-    r1 = abs(y1pp - 3.0 * lam * y1p + 2.0 * lam2 * y1)
-    y2 = (e2 - e1) / lam
-    y2p = 2.0 * e2 - e1
-    y2pp = 4.0 * lam * e2 - lam * e1
-    r2 = abs(y2pp - 3.0 * lam * y2p + 2.0 * lam2 * y2)
-    return r1, r2
-
-
-def delta_eval(prob: BoundaryPolynomialProblem, lam: complex) -> complex:
-    """The determinant exactly as assembled from the fundamental solutions.
-
-    delta(lam) = (e^{2 lam} - e^{lam})/lam + A(lam) (-e^{2 lam} + 2 e^{lam}),
-    continued through lam=0 by series with delta(0) = 1 + a_0.  Raises
-    OverflowRangeError for re(lam) large enough to overflow e^{2 lam};
-    use delta_scaled_eval there.
-    """
-    lam = complex(lam)
-    if lam.real > 350.0:
-        raise OverflowRangeError(
-            f"delta overflows for re(lam) = {lam.real:.3g}; use delta_scaled_eval"
-        )
-    a_val = poly_eval(prob.poly, lam)
-    if abs(lam) < _SERIES_CUT:
-        # (e^{2 lam} - e^{lam})/lam = sum_{k>=1} (2^k - 1) lam^{k-1} / k!
-        first = 1.0 + lam * (1.5 + lam * (7.0 / 6.0 + lam * (15.0 / 24.0 + lam * (31.0 / 120.0))))
-    else:
-        first = (cmath.exp(2.0 * lam) - cmath.exp(lam)) / lam
-    return first + a_val * (-cmath.exp(2.0 * lam) + 2.0 * cmath.exp(lam))
-
-
-def _with_exp_neg(lam):
-    """lam and e^{-lam}; scalars take cmath.exp, far cheaper than np.exp per point."""
+def _exp_terms(lam):
+    """lam, e^{-lam}, g1 = (1 - e^{-lam})/lam and g1'; scalars take cmath.exp, far cheaper."""
     if isinstance(lam, np.ndarray):
-        return lam, np.exp(-lam)
+        em = np.exp(-lam)
+        small = np.abs(lam) < _SERIES_RADIUS
+        # series entries divide by 1, not by a possible 0, then take scalar values
+        den = np.where(small, 1.0, lam) if small.any() else lam
+        g1 = (1.0 - em) / den
+        g1p = (em - g1) / den
+        for i in np.flatnonzero(small):
+            _, _, g1[i], g1p[i] = _exp_terms(lam[i])
+        return lam, em, g1, g1p
     lam = complex(lam)
-    return lam, cmath.exp(-lam)
+    em = cmath.exp(-lam)
+    if abs(lam) < _SERIES_RADIUS:
+        return lam, em, horner(_G1_SERIES, lam), horner(_G1_DERIV_SERIES, lam)
+    g1 = (1.0 - em) / lam
+    return lam, em, g1, (em - g1) / lam
 
 
 def delta_scaled_eval(prob: BoundaryPolynomialProblem, lam):
-    """Overflow-safe scaled determinant dhat = lam e^{-2 lam} delta.
+    """Overflow-safe scaled determinant g = e^{-2 lam} delta.
 
-    Zeros in the punctured plane coincide with zeros of delta with equal
-    multiplicities; dhat(0) = 0 is artificial and always excluded.  Takes
-    a complex scalar or a numpy array of points.
+    g is entire with g(0) = 1 + a_0, and its zeros are exactly those of
+    delta, with equal multiplicities.  Takes a complex scalar or a numpy
+    array of points.
     """
-    lam, em = _with_exp_neg(lam)
-    return (1.0 - em) + lam * horner(prob.poly.coeffs, lam) * (2.0 * em - 1.0)
+    lam, em, g1, _ = _exp_terms(lam)
+    return g1 + horner(prob.poly.coeffs, lam) * (2.0 * em - 1.0)
 
 
 def delta_deriv(prob: BoundaryPolynomialProblem, lam):
-    """Analytic derivative of the scaled determinant, at a scalar or an array."""
-    lam, em = _with_exp_neg(lam)
+    """Analytic derivative of the scaled determinant g, at a scalar or an array."""
+    lam, em, _, g1p = _exp_terms(lam)
     coeffs = prob.poly.coeffs
-    a_val = horner(coeffs, lam)
-    # A' as a plain list: building a validated Polynomial cost more than dhat' itself
+    # A' as a plain list: building a validated Polynomial cost more than g' itself
     ap_val = horner([k * c for k, c in enumerate(coeffs)][1:], lam)
-    return em + (a_val + lam * ap_val) * (2.0 * em - 1.0) - 2.0 * lam * a_val * em
+    return g1p + ap_val * (2.0 * em - 1.0) - 2.0 * horner(coeffs, lam) * em
 
 
 def _edge_points(box: SearchBox, samples_per_unit: float):
@@ -250,14 +189,14 @@ def _edge_points(box: SearchBox, samples_per_unit: float):
 
 
 def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
-    """Winding number of dhat along the box boundary (argument principle).
+    """Winding number of g along the box boundary (argument principle).
 
-    Counts every zero of dhat inside, including the artificial one at the
-    origin.  A segment is accepted only when its phase jump is below pi/2
-    AND the derivative bound len * max|dhat'| / min|dhat| at its endpoints
-    is small: the bound dominates the true phase change, so zeros lurking
-    between samples cannot alias a full turn past the jump test.  A sample
-    with |dhat| at or below RESIDUAL_TOL raises BoundaryZeroError.
+    Counts every zero of g inside.  A segment is accepted only when its
+    phase jump is below pi/2 AND the derivative bound len * max|g'| / min|g|
+    at its endpoints is small: the bound dominates the true phase change, so
+    zeros lurking between samples cannot alias a full turn past the jump
+    test.  A sample with |g| at or below RESIDUAL_TOL raises
+    BoundaryZeroError.
 
     The first pass tests every segment between contour samples at once, in
     numpy.  Only the segments that fail it are bisected, one at a time and
@@ -312,21 +251,15 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
 
 
 def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
-    """Zeros of the determinant inside the box, counted with multiplicity.
-
-    The artificial origin zero introduced by the scaling is discounted when
-    the box contains the origin, so a zero-free determinant gives 0.
-    """
+    """Zeros of the determinant inside the box, counted with multiplicity."""
     w = _winding_number(prob, box)
-    if box.strictly_contains_origin():
-        w -= 1
     if w < 0:
         raise NumericalError(f"negative zero count {w}: inconsistent winding data")
     return w
 
 
 def _newton_polish(prob, z0: complex, region: SearchBox):
-    """Newton on dhat from z0; None when it leaves the region or stalls."""
+    """Newton on g from z0; None when it leaves the region or stalls."""
     z = complex(z0)
     margin = 0.5 * region.diameter + 10.0 * CLUSTER_RADIUS
     for _ in range(100):
@@ -386,7 +319,7 @@ def _strips(box: SearchBox, shift: float):
 
 
 def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, shift: float):
-    """Strip-by-strip search; returns (value, multiplicity) pairs, origin excluded.
+    """Strip-by-strip search; returns (value, multiplicity) pairs.
 
     Each strip gets one winding.  A strip of count 1 is solved by Newton
     from its start; a strip that Newton misses, or that holds more zeros, is
@@ -432,21 +365,18 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, sh
         for k, c in zip(kids, counts):
             visit(k, c, depth + 1, k.center)
 
-    def genuine():
-        return [(z, m) for z, m in found if abs(z) > CLUSTER_RADIUS]
-
     total = 0
     for dist, strip, start in _strips(box, shift):
-        moduli = sorted(abs(z) for z, _ in genuine())
+        moduli = sorted(abs(z) for z, _ in found)
         if nearest and len(moduli) >= nearest and moduli[nearest - 1] < dist:
             break
         count = count_zeros(prob, strip)
         total += count
         if total > max_roots:
-            raise MaxRootsExceededError(max_roots, [z for z, _ in genuine()])
+            raise MaxRootsExceededError(max_roots, [z for z, _ in found])
         if count:
-            visit(strip, count + strip.strictly_contains_origin(), 0, start)
-    return genuine()
+            visit(strip, count, 0, start)
+    return found
 
 
 def find_det_eigenvalues(
@@ -457,9 +387,11 @@ def find_det_eigenvalues(
     With `nearest=n`, the search stops once the n smallest-modulus zeros in
     the box are certified: zeros may be missing, but none with modulus at
     or below the n-th smallest returned.  Without it, every zero in the
-    box.  The origin (an excluded eigenvalue) is never returned.  A zero on
-    the outer boundary or a cut line triggers up to 5 retries, each with the
-    cut lines shifted and the box nudged outward by the cluster radius.
+    box.  A zero on the outer boundary or a cut line triggers up to 5
+    retries, each with the cut lines shifted and the box nudged outward by
+    the cluster radius.  For a real A the zeros come in conjugate pairs:
+    each zero below the real axis whose mirror image was located is
+    replaced by that zero's exact conjugate, so a pair lists -im first.
     """
     if max_roots < 1:
         raise InputError(f"max_roots must be >= 1, got {max_roots}")
@@ -479,12 +411,17 @@ def find_det_eigenvalues(
         assert last_err is not None
         raise last_err
 
+    if all(c.imag == 0.0 for c in prob.poly.coeffs):
+        mirrors = [z.conjugate() for z, _ in roots if z.imag > 0.0]
+        for i, (z, m) in enumerate(roots):
+            if z.imag < 0.0:
+                roots[i] = (next((w for w in mirrors if abs(w - z) <= CLUSTER_RADIUS), z), m)
     roots.sort(key=lambda e: (e[0].real, e[0].imag))
     for z, _ in roots:
         residual = abs(delta_scaled_eval(prob, z))
-        # dhat's terms carry e^{-z}, which grows left of the imaginary axis
+        # g's terms scale like 1/max(1, |z|) and |A(z)|, times e^{-z} left of the axis
         growth = max(1.0, math.exp(-z.real))
-        bound = RESIDUAL_TOL * (1.0 + abs(z * poly_eval(prob.poly, z))) * growth
+        bound = RESIDUAL_TOL * (1.0 / max(1.0, abs(z)) + abs(poly_eval(prob.poly, z))) * growth
         if residual > bound:
             raise NumericalError(
                 f"root {z!r} has residual {residual:.3e} above its bound {bound:.3e}"

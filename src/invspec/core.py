@@ -13,10 +13,11 @@ from typing import NamedTuple
 
 from .errors import DegreeMismatchError, InputError
 
-# |dhat| at or below RESIDUAL_TOL counts as a zero; roots closer than
-# CLUSTER_RADIUS merge into one entry.  Keep CLUSTER_RADIUS >= RESIDUAL_TOL:
-# find_det_eigenvalues nudges a box by multiples of CLUSTER_RADIUS and counts
-# on that step being no smaller than the residual floor.
+# |g|, the scaled determinant, at or below RESIDUAL_TOL counts as a zero;
+# roots closer than CLUSTER_RADIUS merge into one entry.  Keep CLUSTER_RADIUS
+# >= RESIDUAL_TOL: find_det_eigenvalues nudges a box by multiples of
+# CLUSTER_RADIUS and counts on that step being no smaller than the residual
+# floor.
 RESIDUAL_TOL = 1e-9
 CLUSTER_RADIUS = 1e-8
 

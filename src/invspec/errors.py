@@ -91,7 +91,3 @@ class MaxRootsExceededError(NumericalError):
             f"more than max_roots={max_roots} zeros in the box "
             f"({len(self.partial)} already located)"
         )
-
-
-class OverflowRangeError(NumericalError):
-    """Direct determinant evaluation would overflow; use the scaled form."""

@@ -1,6 +1,6 @@
 """Recovery of boundary-polynomial coefficients from determinant eigenvalues.
 
-Each nonzero eigenvalue lam of the determinant problem pins one linear
+Each eigenvalue lam of the determinant problem pins one linear
 equation A(lam) = rhs_value(lam); s+1 pairwise-distinct eigenvalues give a
 Vandermonde system whose unique solution is the coefficient vector.  In
 exact arithmetic any admissible node set works; numerically the system can
@@ -10,14 +10,13 @@ estimate and the residual bounds scale with it.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .char_det import BoundaryPolynomialProblem, delta_scaled_eval
+from .char_det import BoundaryPolynomialProblem, _exp_terms, delta_scaled_eval
 from .core import (
     CLUSTER_RADIUS,
     RESIDUAL_TOL,
@@ -51,25 +50,18 @@ class ReconstructionResult:
 def rhs_value(lam: complex) -> complex:
     """Right-hand side of the linear system at one eigenvalue.
 
-    Evaluates -(e^lam - 1) / (lam (2 - e^lam)), the cancellation-reduced
-    form of the ratio of fundamental-solution boundary values.  The origin
-    is an excluded node; e^lam = 2 is a pole of the reduced form and never
-    an eigenvalue, so hitting it signals a bad input node.
+    Evaluates -((1 - e^{-lam})/lam) / (2 e^{-lam} - 1), the value of A that
+    makes the scaled determinant vanish at lam; it is -1 at the origin.
+    e^lam = 2 is a pole and never an eigenvalue, so hitting it signals a
+    bad input node.
     """
-    lam = as_finite_complex(lam, "lambda")
-    if abs(lam) <= CLUSTER_RADIUS:
-        raise InputError(f"lambda = {lam!r} is an excluded (origin) node")
-    if lam.real > 350.0:
-        # e^lam overflows; multiply through by e^{-lam}
-        em = cmath.exp(-lam)
-        return -(1.0 - em) / (lam * (2.0 * em - 1.0))
-    e = cmath.exp(lam)
-    if abs(e - 2.0) <= _POLE_TOL:
+    lam, em, g1, _ = _exp_terms(as_finite_complex(lam, "lambda"))
+    if abs(2.0 * em - 1.0) <= _POLE_TOL:
         raise InputError(
             f"lambda = {lam!r} sits on the pole e^lam = 2; it cannot be a "
             "determinant eigenvalue"
         )
-    return -(e - 1.0) / (lam * (2.0 - e))
+    return -g1 / (2.0 * em - 1.0)
 
 
 def _bjorck_pereyra(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -186,17 +178,17 @@ def select_reconstruction_nodes(spectrum: Spectrum, degree: int) -> tuple[comple
 def reconstruct_coeffs(nodes) -> ReconstructionResult:
     """Recover the degree len(nodes) - 1 polynomial pinned by these eigenvalues.
 
-    The nodes must be nonzero and pairwise distinct.  Residuals of the
-    scaled determinant are recomputed at every node with the recovered
-    coefficients; they must stay below RESIDUAL_TOL times the condition
-    estimate.
+    The nodes must be pairwise distinct.  Residuals |g| of the scaled
+    determinant are recomputed at every node z with the recovered
+    coefficients; |g| max(1, |z|) must stay below RESIDUAL_TOL times the
+    condition estimate, since g's term (1 - e^{-z})/z scales like 1/|z|.
     """
     values = [rhs_value(z) for z in nodes]
     poly, cond = _solve(nodes, values)
     prob = BoundaryPolynomialProblem(poly)
     residuals = tuple(abs(delta_scaled_eval(prob, z)) for z in nodes)
     bound = RESIDUAL_TOL * cond
-    worst = max(residuals)
+    worst = max(r * max(1.0, abs(z)) for r, z in zip(residuals, nodes))
     if worst > bound:
         raise NumericalError(
             f"reconstruction residual {worst:.3e} exceeds {bound:.3e} "

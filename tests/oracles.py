@@ -6,9 +6,13 @@ helpers redo arithmetic in extended precision, and the clustering oracle
 is a plain union-find.
 """
 
+import cmath
+
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+from invspec.errors import InputError, NumericalError
 
 mp.mp.dps = 40
 
@@ -38,6 +42,83 @@ def fd_neumann_eigenvalues(q, count, cells=2000, richardson=True):
         return lam
     lam2 = eig(2 * cells)
     return (4.0 * lam2 - lam) / 3.0
+
+
+# -- the determinant assembled from the fundamental solutions ---------------
+
+_SERIES_CUT = 1e-6
+
+
+class OverflowRangeError(NumericalError):
+    """Direct determinant evaluation would overflow; use the scaled form."""
+
+
+def y1_eval(lam: complex, x: float) -> complex:
+    """First fundamental solution: value 1, slope 0 at x=0."""
+    lam = complex(lam)
+    return -cmath.exp(2.0 * lam * x) + 2.0 * cmath.exp(lam * x)
+
+
+def y2_eval(lam: complex, x: float) -> complex:
+    """Second fundamental solution: value 0, slope 1 at x=0.
+
+    The removable singularity at lam=0 is continued by the truncated series
+    x + (3/2) x^2 lam + (7/6) x^3 lam^2 + (5/8) x^4 lam^3 for |lam| < 1e-6.
+    """
+    lam = complex(lam)
+    if abs(lam) < _SERIES_CUT:
+        return x + lam * x * x * (1.5 + lam * x * (7.0 / 6.0 + lam * x * (15.0 / 24.0)))
+    return (cmath.exp(2.0 * lam * x) - cmath.exp(lam * x)) / lam
+
+
+def ode_residual(lam: complex, x: float) -> tuple[float, float]:
+    """Residuals |y'' - 3 lam y' + 2 lam^2 y| for both fundamental solutions.
+
+    Derivatives come from the closed exponential forms, so the residuals
+    measure only floating-point cancellation.
+    """
+    lam = complex(lam)
+    if abs(lam) < _SERIES_CUT:
+        raise InputError(f"ode_residual needs |lam| >= {_SERIES_CUT}, got {abs(lam)}")
+    if not 0.0 <= x <= 1.0:
+        raise InputError(f"x must be in [0,1], got {x}")
+    e1 = cmath.exp(lam * x)
+    e2 = cmath.exp(2.0 * lam * x)
+    lam2 = lam * lam
+    y1 = -e2 + 2.0 * e1
+    y1p = -2.0 * lam * e2 + 2.0 * lam * e1
+    y1pp = -4.0 * lam2 * e2 + 2.0 * lam2 * e1
+    r1 = abs(y1pp - 3.0 * lam * y1p + 2.0 * lam2 * y1)
+    y2 = (e2 - e1) / lam
+    y2p = 2.0 * e2 - e1
+    y2pp = 4.0 * lam * e2 - lam * e1
+    r2 = abs(y2pp - 3.0 * lam * y2p + 2.0 * lam2 * y2)
+    return r1, r2
+
+
+def delta_eval(prob, lam: complex) -> complex:
+    """The determinant exactly as assembled from the fundamental solutions.
+
+    delta(lam) = (e^{2 lam} - e^{lam})/lam + A(lam) (-e^{2 lam} + 2 e^{lam}),
+    continued through lam=0 by series with delta(0) = 1 + a_0.  A comes
+    from a Horner loop of its own, not invspec's.  Raises OverflowRangeError
+    for re(lam) large enough to overflow e^{2 lam}; use delta_scaled_eval
+    there.
+    """
+    lam = complex(lam)
+    if lam.real > 350.0:
+        raise OverflowRangeError(
+            f"delta overflows for re(lam) = {lam.real:.3g}; use delta_scaled_eval"
+        )
+    a_val = 0j
+    for c in reversed(prob.poly.coeffs):
+        a_val = a_val * lam + c
+    if abs(lam) < _SERIES_CUT:
+        # (e^{2 lam} - e^{lam})/lam = sum_{k>=1} (2^k - 1) lam^{k-1} / k!
+        first = 1.0 + lam * (1.5 + lam * (7.0 / 6.0 + lam * (15.0 / 24.0 + lam * (31.0 / 120.0))))
+    else:
+        first = (cmath.exp(2.0 * lam) - cmath.exp(lam)) / lam
+    return first + a_val * (-cmath.exp(2.0 * lam) + 2.0 * cmath.exp(lam))
 
 
 # -- extended-precision polynomial and linear algebra ---------------------

@@ -9,24 +9,30 @@ from hypothesis import strategies as st
 from invspec import (
     BoundaryPolynomialProblem,
     BoundaryZeroError,
+    ExperimentConfig,
     InputError,
     MaxRootsExceededError,
     Polynomial,
     SearchBox,
     count_zeros,
     delta_deriv,
-    delta_eval,
     delta_scaled_eval,
     find_det_eigenvalues,
-    ode_residual,
     rhs_value,
+    roundtrip,
     select_reconstruction_nodes,
-    y1_eval,
-    y2_eval,
 )
 from invspec import char_det
 from invspec.core import CLUSTER_RADIUS, RESIDUAL_TOL
-from oracles import mp_delta, mp_real_root_bisect
+from oracles import (
+    OverflowRangeError,
+    delta_eval,
+    mp_delta,
+    mp_real_root_bisect,
+    ode_residual,
+    y1_eval,
+    y2_eval,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,10 +113,8 @@ def test_scaling_identity_seeded(rng):
         p = seeded_problem(rng, degree)
         for _ in range(250):
             lam = complex(rng.uniform(-20, 20), rng.uniform(-40, 40))
-            if abs(lam) < 1e-6:
-                continue
             direct = delta_scaled_eval(p, lam)
-            via_delta = lam * cmath.exp(-2.0 * lam) * delta_eval(p, lam)
+            via_delta = cmath.exp(-2.0 * lam) * delta_eval(p, lam)
             assert abs(direct - via_delta) <= 1e-12 * (1.0 + abs(direct))
 
 
@@ -121,10 +125,11 @@ def test_scaled_free_zeros():
 
 
 def test_scaled_at_log_two_is_half():
-    # 2 e^{-lam} - 1 vanishes there, so the polynomial cannot contribute
+    # 2 e^{-lam} - 1 vanishes there, so the polynomial cannot contribute and
+    # g = (1 - 1/2) / ln 2
     for coeffs in ((0.0,), (1.0, 2.0), (-3.0, 0.5, 1.0)):
         val = delta_scaled_eval(prob(*coeffs), math.log(2.0))
-        assert abs(val - 0.5) <= 1e-14
+        assert abs(val - 0.5 / math.log(2.0)) <= 1e-14
 
 
 def test_real_root_against_bisection_oracle():
@@ -138,8 +143,6 @@ def test_real_root_against_bisection_oracle():
 
 
 def test_delta_overflow_guard():
-    from invspec import OverflowRangeError
-
     with pytest.raises(OverflowRangeError, match="delta_scaled_eval"):
         delta_eval(prob(1.0), 400.0)
     # the scaled form stays finite in the same range
@@ -147,10 +150,13 @@ def test_delta_overflow_guard():
 
 
 def test_delta_deriv_free_case():
+    # A = 0 leaves g = (1 - e^{-lam})/lam, whose derivative is
+    # ((1 + lam) e^{-lam} - 1)/lam^2, -1/2 at the origin
     p = prob(0.0)
-    assert abs(delta_deriv(p, 0.0) - 1.0) <= 1e-14
+    assert abs(delta_deriv(p, 0.0) + 0.5) <= 1e-14
     for lam in (0.7, 1j, -2.0 + 0.3j):
-        assert abs(delta_deriv(p, lam) - cmath.exp(-lam)) <= 1e-13 * (1 + abs(cmath.exp(-lam)))
+        want = ((1.0 + lam) * cmath.exp(-lam) - 1.0) / lam**2
+        assert abs(delta_deriv(p, lam) - want) <= 1e-13 * (1 + abs(cmath.exp(-lam)))
 
 
 def test_delta_deriv_matches_central_difference(rng):
@@ -264,10 +270,10 @@ def test_winding_matches_scalar_reference(rng):
                 cases.append((prob(0.0), SearchBox(re_min, re_min + 2.0, 0.5, n * TWO_PI + off)))
     # zeros on the bottom and the top edge: the first in contour order is reported
     cases.append((prob(0.0), SearchBox(-0.7, 1.3, -TWO_PI, TWO_PI)))
-    # the origin zero on the left edge, with a genuine zero at 0.046 inside:
-    # their phase turns nearly cancel across one segment, so only the
-    # derivative bound sends that segment to bisection
-    cases.append((prob(-1.0619591933207042, -0.2602097910994319), SearchBox(0.0, 8.0, -30.0, 0.66)))
+    # zeros at -0.046, just outside the left edge, and 0.046 inside: their
+    # phase turns nearly cancel across one segment, so only the derivative
+    # bound sends that segment to bisection
+    cases.append((prob(-1.0046049418264393, -1.5066417509464398), SearchBox(0.0, 8.0, -30.0, 0.66)))
     for p, box in cases:
         try:
             want = scalar_winding(p, box)
@@ -312,9 +318,10 @@ def test_find_free_zero_set():
 
 
 def test_find_filters_origin_and_retries_boundary():
-    # bottom edge passes through the artificial origin zero; retries must
+    # the bottom edge passes through the origin, which is no zero when
+    # a_0 != -1, and the top edge through the zero at 6 pi i; retries must
     # perturb the box, and the origin never appears in the results
-    roots = find_det_eigenvalues(prob(0.0), SearchBox(-1.0, 1.0, 0.0, 20.0), 16)
+    roots = find_det_eigenvalues(prob(0.0), SearchBox(-1.0, 1.0, 0.0, 3 * TWO_PI), 16)
     imag = sorted(r.value.imag for r in roots)
     assert len(roots) == 3
     assert max(abs(g - w) for g, w in zip(imag, [TWO_PI, 2 * TWO_PI, 3 * TWO_PI])) <= 1e-9
@@ -365,9 +372,9 @@ def test_sorted_output(rng):
 
 
 def test_zero_pair_hugging_subdivision_line():
-    # regression: this polynomial has a genuine zero at -0.04451... sitting
-    # next to the artificial origin zero; both hug the re = -0.05 line that
-    # quadrisection generates, which once aliased a full phase turn
+    # regression: this polynomial has a zero at -0.04451..., next to the
+    # origin and to the re = -0.05 line that quadrisection generates, where a
+    # full phase turn was once aliased
     p = prob(-0.88307565067498, 1.232614137367198, 0.2549359558185622, -1.9869462712475712)
     box = SearchBox(-8.0, 8.0, -30.0, 30.0)
     roots = find_det_eigenvalues(p, box, 64)
@@ -377,9 +384,38 @@ def test_zero_pair_hugging_subdivision_line():
     assert count_zeros(p, box) == sum(r.multiplicity for r in roots)
 
 
-# -- strip search against the whole-box quadrisection ------------------------
-
 DEFAULT_BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
+
+
+@pytest.mark.parametrize("coeffs", [(-1.0,), (-1.0, 0.8822855617524055)])
+def test_origin_is_an_ordinary_eigenvalue(coeffs):
+    # a_0 = -1 makes delta(0) = 1 + a_0 vanish, and g'(0) = 3/2 + a_1 does not
+    p = prob(*coeffs)
+    roots = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    at_origin = [r for r in roots if abs(r.value) <= 1e-12]
+    assert len(at_origin) == 1 and at_origin[0].multiplicity == 1
+    assert rhs_value(0.0) == -1
+    s = len(coeffs) - 1
+    report = roundtrip(p.poly, ExperimentConfig(degree_range=(s, s)))
+    assert report.max_coeff_error <= 1e-6 * report.condition
+
+
+def test_real_coefficients_give_exact_conjugate_pairs(rng):
+    cases = [(
+        prob(0.22089843280147337, -1.4927828656269049, 1.1439869738448398, 0.13134087934371497),
+        SearchBox(-10.0, 10.0, -80.0, 80.0),
+    )]
+    cases += [(seeded_problem(rng, i % 4), DEFAULT_BOX) for i in range(16)]
+    for p, box in cases:
+        values = find_det_eigenvalues(p, box, 80).values
+        for i, z in enumerate(values):
+            if abs(z.imag) > CLUSTER_RADIUS:
+                # the bit-exact conjugate is listed, and the -im member first
+                j = values.index(z.conjugate())
+                assert j == (i + 1 if z.imag < 0 else i - 1)
+
+
+# -- strip search against the whole-box quadrisection ------------------------
 
 
 def quadrisection_roots(p, box):
@@ -470,7 +506,7 @@ def test_zero_on_a_cut_line_shifts_the_lines(monkeypatch):
 
 def test_newton_miss_in_a_count_one_strip_quadrisects(monkeypatch):
     # the box's one zero is -0.733; Newton from ln 2 clamped to the box's
-    # right edge, -0.1, runs to the artificial zero at the origin instead
+    # right edge, -0.1, leaves the region instead
     p = prob(1.0, 2.0)
     box = SearchBox(-8.0, -0.1, -3.0, 3.0)
     starts = []
@@ -483,7 +519,7 @@ def test_newton_miss_in_a_count_one_strip_quadrisects(monkeypatch):
 
     monkeypatch.setattr(char_det, "_newton_polish", spy)
     roots = find_det_eigenvalues(p, box, 8)
-    assert starts[0][0] == -0.1 and abs(starts[0][1]) <= 1e-12
+    assert starts[0][0] == -0.1 and starts[0][1] is None
     assert len(starts) > 1
     assert_same_roots(roots, [(-0.7331889155010706 + 0j, 1)])
 

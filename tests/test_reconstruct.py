@@ -36,8 +36,8 @@ def test_rhs_exact_values():
 
 
 def test_rhs_excluded_nodes():
-    with pytest.raises(InputError):
-        rhs_value(0.0)
+    # the origin is an ordinary node: A = -1 puts a zero of delta there
+    assert rhs_value(0.0) == -1
     with pytest.raises(InputError):
         rhs_value(math.log(2.0))
     with pytest.raises(InputError):
@@ -126,8 +126,7 @@ def test_condition_monotone_gate(rng):
 def test_reconstruction_input_validation():
     with pytest.raises(InputError):
         reconstruct_coeffs(())
-    with pytest.raises(InputError):
-        reconstruct_coeffs((0.0 + 0j,))
+    assert reconstruct_coeffs((0.0 + 0j,)).coefficients.coeffs == (-1.0 + 0j,)
     with pytest.raises(InputError, match=r": \(1\+0j\) vs \(1\+1e-10j\)$"):
         reconstruct_coeffs((1.0 + 0j, 1.0 + 1e-10j))
 

@@ -33,7 +33,7 @@ def write_potential(tmp_path, name, q):
 def test_roundtrip_zero_polynomial():
     report = roundtrip(Polynomial((0.0,)), ExperimentConfig())
     assert report.max_coeff_error <= 1e-9
-    # the node comes from the 2 pi i k family with the origin excluded
+    # g(0) = 1 + a_0 = 1, so the node comes from the 2 pi i k family
     assert abs(abs(report.nodes_used[0]) - TWO_PI) <= 1e-6
 
 
@@ -42,6 +42,13 @@ def test_roundtrip_degree_one():
     assert report.max_coeff_error <= 1e-7
     assert report.condition < 1e3
     assert report.wall_time_ms > 0.0
+
+
+@pytest.mark.parametrize("a0", [-0.9999333009372378, -1.0 + 3e-5, -1.0 + 1e-7, -1.0 + 1e-9])
+def test_roundtrip_a0_near_minus_one(a0):
+    # delta(0) = 1 + a_0 nearly vanishes, so one zero sits next to the origin
+    report = roundtrip(Polynomial((a0, 0.8822855617524055)), ExperimentConfig(degree_range=(1, 1)))
+    assert report.max_coeff_error <= 1e-6 * report.condition
 
 
 def test_roundtrip_degree_must_fit_range():
