@@ -128,22 +128,40 @@ class SearchBox:
 _SERIES_RADIUS = 0.1
 _G1_SERIES = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(11))
 _G1_DERIV_SERIES = tuple(k * c for k, c in enumerate(_G1_SERIES))[1:]
+_EXP_LIMIT = math.log(np.finfo(float).max)
+
+
+def _overflow_error(lam) -> NumericalError:
+    return NumericalError(f"e^(-lam) overflows at lam = {complex(lam)!r} (re lam below -709.78)")
 
 
 def _exp_terms(lam):
-    """lam, e^{-lam}, g1 = (1 - e^{-lam})/lam and g1'; scalars take cmath.exp, far cheaper."""
+    """lam, e^{-lam}, g1 = (1 - e^{-lam})/lam and g1'; scalars take cmath.exp, far cheaper.
+
+    Raises NumericalError where e^{-lam} overflows.
+    """
     if isinstance(lam, np.ndarray):
+        mod = np.abs(lam)
+        # |e^{-lam}| = e^{-re lam} overflows only left of re lam = -_EXP_LIMIT
+        if mod.max() > _EXP_LIMIT and lam.real.min() < -_EXP_LIMIT:
+            raise _overflow_error(lam[np.argmin(lam.real)])
         em = np.exp(-lam)
-        small = np.abs(lam) < _SERIES_RADIUS
+        if mod.min() >= _SERIES_RADIUS:
+            g1 = (1.0 - em) / lam
+            return lam, em, g1, (em - g1) / lam
+        small = mod < _SERIES_RADIUS
         # series entries divide by 1, not by a possible 0, then take scalar values
-        den = np.where(small, 1.0, lam) if small.any() else lam
+        den = np.where(small, 1.0, lam)
         g1 = (1.0 - em) / den
         g1p = (em - g1) / den
         for i in np.flatnonzero(small):
             _, _, g1[i], g1p[i] = _exp_terms(lam[i])
         return lam, em, g1, g1p
     lam = complex(lam)
-    em = cmath.exp(-lam)
+    try:
+        em = cmath.exp(-lam)
+    except OverflowError:
+        raise _overflow_error(lam) from None
     if abs(lam) < _SERIES_RADIUS:
         return lam, em, horner(_G1_SERIES, lam), horner(_G1_DERIV_SERIES, lam)
     g1 = (1.0 - em) / lam
@@ -319,7 +337,7 @@ def _strips(box: SearchBox, shift: float):
 
 
 def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, shift: float):
-    """Strip-by-strip search; returns (value, multiplicity) pairs.
+    """Strip-by-strip search; returns the located zeros, each simple.
 
     Each strip gets one winding.  A strip of count 1 is solved by Newton
     from its start; a strip that Newton misses, or that holds more zeros, is
@@ -327,7 +345,7 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, sh
     With `nearest`, the search stops before the first strip that lies
     farther from the origin than the nearest-th smallest modulus located.
     """
-    found: list[tuple[complex, int]] = []
+    found: list[complex] = []
 
     def visit(bx: SearchBox, count: int, depth: int, start: complex):
         if count == 0:
@@ -335,12 +353,8 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, sh
         if count == 1:
             z = _newton_polish(prob, start, bx)
             if z is not None and bx.contains(z):
-                found.append((z, 1))
+                found.append(z)
                 return
-        if bx.diameter <= CLUSTER_RADIUS:
-            # unresolved cluster: report as one root carrying the full count
-            found.append((bx.center, count))
-            return
         if depth > 64:
             raise NumericalError(f"quadrisection depth exceeded near {bx.center!r}")
         mismatches = []
@@ -367,13 +381,13 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, sh
 
     total = 0
     for dist, strip, start in _strips(box, shift):
-        moduli = sorted(abs(z) for z, _ in found)
+        moduli = sorted(abs(z) for z in found)
         if nearest and len(moduli) >= nearest and moduli[nearest - 1] < dist:
             break
         count = count_zeros(prob, strip)
         total += count
         if total > max_roots:
-            raise MaxRootsExceededError(max_roots, [z for z, _ in found])
+            raise MaxRootsExceededError(max_roots, found)
         if count:
             visit(strip, count, 0, start)
     return found
@@ -389,9 +403,13 @@ def find_det_eigenvalues(
     or below the n-th smallest returned.  Without it, every zero in the
     box.  A zero on the outer boundary or a cut line triggers up to 5
     retries, each with the cut lines shifted and the box nudged outward by
-    the cluster radius.  For a real A the zeros come in conjugate pairs:
-    each zero below the real axis whose mirror image was located is
-    replaced by that zero's exact conjugate, so a pair lists -im first.
+    the cluster radius.  Every zero is returned with multiplicity 1: a
+    multiple zero makes |g| vanish to second order, so some contour near it
+    raises BoundaryZeroError.  For a real A the zeros are real or come in
+    conjugate pairs: each zero below the real axis whose mirror image was
+    located is replaced by that zero's exact conjugate, so a pair lists
+    -im first, and a zero within the cluster radius of the axis with no
+    mirror image is made exactly real.
     """
     if max_roots < 1:
         raise InputError(f"max_roots must be >= 1, got {max_roots}")
@@ -412,12 +430,16 @@ def find_det_eigenvalues(
         raise last_err
 
     if all(c.imag == 0.0 for c in prob.poly.coeffs):
-        mirrors = [z.conjugate() for z, _ in roots if z.imag > 0.0]
-        for i, (z, m) in enumerate(roots):
-            if z.imag < 0.0:
-                roots[i] = (next((w for w in mirrors if abs(w - z) <= CLUSTER_RADIUS), z), m)
-    roots.sort(key=lambda e: (e[0].real, e[0].imag))
-    for z, _ in roots:
+        located = list(roots)
+        for i, z in enumerate(located):
+            mirrored = (w for w in located if w.imag * z.imag < 0.0)
+            partner = next((w for w in mirrored if abs(w.conjugate() - z) <= CLUSTER_RADIUS), None)
+            if partner is None and 0.0 < abs(z.imag) <= CLUSTER_RADIUS:
+                roots[i] = complex(z.real, 0.0)
+            elif partner is not None and z.imag < 0.0:
+                roots[i] = partner.conjugate()
+    roots.sort(key=lambda z: (z.real, z.imag))
+    for z in roots:
         residual = abs(delta_scaled_eval(prob, z))
         # g's terms scale like 1/max(1, |z|) and |A(z)|, times e^{-z} left of the axis
         growth = max(1.0, math.exp(-z.real))
@@ -426,4 +448,4 @@ def find_det_eigenvalues(
             raise NumericalError(
                 f"root {z!r} has residual {residual:.3e} above its bound {bound:.3e}"
             )
-    return Spectrum(tuple(roots))
+    return Spectrum(tuple((z, 1) for z in roots))

@@ -14,7 +14,8 @@ from typing import NamedTuple
 from .errors import DegreeMismatchError, InputError
 
 # |g|, the scaled determinant, at or below RESIDUAL_TOL counts as a zero;
-# roots closer than CLUSTER_RADIUS merge into one entry.  Keep CLUSTER_RADIUS
+# points closer than CLUSTER_RADIUS count as one (duplicate interpolation
+# nodes, a zero and its conjugate partner).  Keep CLUSTER_RADIUS
 # >= RESIDUAL_TOL: find_det_eigenvalues nudges a box by multiples of
 # CLUSTER_RADIUS and counts on that step being no smaller than the residual
 # floor.
@@ -121,10 +122,6 @@ class RoundTripReport:
             )
 
 
-def _sort_key(z: complex):
-    return (z.real, z.imag)
-
-
 class Eigenvalue(NamedTuple):
     """One spectrum entry: a value and its algebraic multiplicity."""
 
@@ -149,39 +146,11 @@ class Spectrum:
             if m < 1:
                 raise InputError(f"multiplicity must be >= 1, got {mult}")
             entries.append(Eigenvalue(z, m))
-        keys = [_sort_key(z) for z, _ in entries]
+        keys = [(z.real, z.imag) for z, _ in entries]
         if any(k0 >= k1 for k0, k1 in zip(keys, keys[1:])):
             # a repeated value is one entry with the summed multiplicity
             raise InputError("spectrum entries must strictly increase in (re, im)")
         object.__setattr__(self, "entries", tuple(entries))
-
-    @classmethod
-    def from_points(
-        cls, points, cluster_radius: float = CLUSTER_RADIUS, multiplicities=None
-    ) -> "Spectrum":
-        """Build a spectrum from an unsorted multiset of points.
-
-        Points closer than ``cluster_radius`` (transitively) are merged into
-        one entry at their multiplicity-weighted centroid, multiplicities
-        summed.  Merging iterates until all representatives are pairwise
-        separated by more than the radius.
-        """
-        pts = [as_finite_complex(z, "point") for z in points]
-        if multiplicities is None:
-            mults = [1] * len(pts)
-        else:
-            mults = [int(m) for m in multiplicities]
-            if len(mults) != len(pts):
-                raise InputError("multiplicities and points must have equal length")
-        items = list(zip(pts, mults))
-        while True:
-            merged = _merge_once(items, cluster_radius)
-            if len(merged) == len(items):
-                items = merged
-                break
-            items = merged
-        items.sort(key=lambda e: _sort_key(e[0]))
-        return cls(tuple(items))
 
     @property
     def values(self) -> tuple[complex | float, ...]:
@@ -199,31 +168,6 @@ class Spectrum:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-
-def _merge_once(items, radius):
-    """One round of connected-component merging by BFS over the radius graph."""
-    n = len(items)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        component = []
-        while queue:
-            i = queue.pop()
-            component.append(i)
-            zi = items[i][0]
-            for j in range(n):
-                if not seen[j] and abs(zi - items[j][0]) <= radius:
-                    seen[j] = True
-                    queue.append(j)
-        total = sum(items[i][1] for i in component)
-        centroid = sum(items[i][0] * items[i][1] for i in component) / total
-        out.append((centroid, total))
-    return out
 
 
 def as_positive_tol(value, what: str) -> float:

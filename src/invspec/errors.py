@@ -42,14 +42,14 @@ class IntegrationError(NumericalError):
 
 
 class BracketingError(NumericalError):
-    """Eigenvalue bracketing failed even after widening the search window."""
+    """The phase count could not isolate an eigenvalue in its search window."""
 
     def __init__(self, index: int, window: tuple[float, float]):
         self.index = index
         self.window = window
         super().__init__(
             f"could not bracket eigenvalue #{index} in window "
-            f"[{window[0]:.6g}, {window[1]:.6g}] after widening"
+            f"[{window[0]:.6g}, {window[1]:.6g}]"
         )
 
 

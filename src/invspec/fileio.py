@@ -111,6 +111,8 @@ def parse_potential(text: str) -> Potential:
             return CosinePotential(amp, freq)
         if kind == "poly_in_x":
             return PolyPotential(_real_list(_require(doc, "coeffs", "$"), "$.coeffs"))
+    except SchemaError:
+        raise
     except InputError as exc:
         raise SchemaError("$", str(exc)) from exc
     raise SchemaError("$.kind", f"unknown potential kind {kind!r}")

@@ -136,10 +136,6 @@ class GridPotential(Potential):
     def lower_bound(self) -> float:
         return min(self.values)
 
-    def shifted(self, c: float) -> "GridPotential":
-        """The potential q(x) + c."""
-        return GridPotential(self.nodes, tuple(v + c for v in self.values))
-
 
 @dataclass(frozen=True)
 class CosinePotential(Potential):

@@ -70,25 +70,21 @@ def _step(qf, lam, x, h, y, p):
 def _advance_phase(psi, cur_scale, y0, p0, y1, p1, wm):
     """Extend the continuous scaled phase atan2(s*y, y') across one sub-step.
 
-    The scale s tracks the local oscillation rate, so the true phase change
-    lies in (-pi/2, 3pi/2) by construction (step caps bound the rotation,
-    hyperbolic sub-steps cannot cross the invariant diagonals); wrapping the
-    atan2 difference into that window recovers it exactly.
+    The scale s = sqrt|q - lam| tracks the local oscillation or growth rate
+    on both sides of a turning point (Pryce, Numerical Solution of
+    Sturm-Liouville Problems, 1993), so the true phase change lies in
+    (-pi/2, 3pi/2) by construction: step caps bound the rotation, and
+    hyperbolic sub-steps cannot cross the invariant diagonals
+    s*y = +-y'.  Wrapping the atan2 difference into that window recovers it
+    exactly.
     """
-    s = math.sqrt(-wm) if wm < -1e-4 else 1e-2
-    if s != cur_scale:
-        a_new = math.atan2(s * y0, p0)
-        a_old = math.atan2(cur_scale * y0, p0)
-        delta = a_new - a_old
-        # both angles share a closed quadrant, so |delta| < pi/2
-        if delta > math.pi:
-            delta -= _TWO_PI
-        elif delta < -math.pi:
-            delta += _TWO_PI
-        psi += delta
+    s = math.sqrt(abs(wm)) if abs(wm) > 1e-4 else 1e-2
     a0 = math.atan2(s * y0, p0)
-    a1 = math.atan2(s * y1, p1)
-    delta = a1 - a0
+    if s != cur_scale:
+        # both scales are positive, so both angles share a closed quadrant
+        # and their difference is the rescaling's phase change, below pi/2
+        psi += a0 - math.atan2(cur_scale * y0, p0)
+    delta = math.atan2(s * y1, p1) - a0
     delta -= _TWO_PI * math.floor((delta + _HALF_PI) / _TWO_PI)
     return psi + delta, s
 
@@ -128,7 +124,8 @@ def _integrate(qf, breaks, lam, loc_tol, track_phase):
             h = 0.5
         if x + h > 1.0:
             h = 1.0 - x
-        while bi < nb and breaks[bi] <= x + 1e-15:
+        # a breakpoint within 1e-14 ahead counts as landed: a step to it would underflow
+        while bi < nb and breaks[bi] <= x + 1e-14:
             bi += 1
         if bi < nb and x + h > breaks[bi] - 1e-15:
             h = breaks[bi] - x
@@ -276,9 +273,10 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
     """First `count` Neumann eigenvalues of -y'' + q y = lam y, each of multiplicity 1.
 
     Each eigenvalue is isolated by the phase-counting function, then refined
-    on the sign of y'(1) to a relative width of eig_tol.  Raises
-    BracketingError if the search window fails to capture an eigenvalue
-    even after widening 10x.
+    on the sign of y'(1) to a relative width of eig_tol.  By min-max,
+    lam_k lies in [(k pi)^2 + min q, (k pi)^2 + max q], so the window of
+    half-width total_variation + 1 around (k pi)^2 + mean q always holds
+    it; the count bisection raises BracketingError when it does not.
     """
     eig_tol = as_positive_tol(eig_tol, "eig_tol")
     if count < 1:
@@ -302,18 +300,8 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
         # at a == lo the count is k by construction: lo sits just above the
         # previous eigenvalue (or below the whole spectrum for k = 0)
         ca = count_below(a) if a > lo else k
-        if ca > k:
-            a = lo
-            ca = count_below(lo)
         b = max(guess + margin, a + 1.0)
         cb = count_below(b)
-        widen = 0
-        while cb < k + 1:
-            widen += 1
-            if widen > 10:
-                raise BracketingError(k, (a, b))
-            b = a + (b - a) * 10.0
-            cb = count_below(b)
         it = 0
         while not (ca == k and cb == k + 1):
             mid = 0.5 * (a + b)

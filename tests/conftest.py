@@ -21,6 +21,11 @@ def seeded_grid_potential(rng, n_nodes=None, bound=2.0, lattice=None):
     return GridPotential(nodes, values)
 
 
+def shifted_grid(q, c):
+    """The grid potential q(x) + c."""
+    return GridPotential(q.nodes, tuple(v + c for v in q.values))
+
+
 def seeded_potential_mix(rng, bound=2.0):
     """One potential of a random kind, non-degenerate amplitudes."""
     kind = rng.integers(0, 4)

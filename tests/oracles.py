@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: the
 finite-difference matrix solver is unrelated to shooting, the mpmath
-helpers redo arithmetic in extended precision, and the clustering oracle
-is a plain union-find.
+helpers redo arithmetic in extended precision, and the union-find
+clustering builds valid spectra from random points.
 """
 
 import cmath

@@ -12,6 +12,7 @@ from invspec import (
     ExperimentConfig,
     InputError,
     MaxRootsExceededError,
+    NumericalError,
     Polynomial,
     SearchBox,
     count_zeros,
@@ -409,10 +410,14 @@ def test_real_coefficients_give_exact_conjugate_pairs(rng):
     for p, box in cases:
         values = find_det_eigenvalues(p, box, 80).values
         for i, z in enumerate(values):
-            if abs(z.imag) > CLUSTER_RADIUS:
+            if z.imag != 0.0:
                 # the bit-exact conjugate is listed, and the -im member first
                 j = values.index(z.conjugate())
                 assert j == (i + 1 if z.imag < 0 else i - 1)
+    # the complex Newton polish leaves 1e-53 and 1e-50 of imaginary noise on these
+    real = [z for z in find_det_eigenvalues(*cases[0], 80).values if abs(z.imag) < 1e-6]
+    assert [z.real for z in real] == [-9.881438853445527, 1.483795050545004]
+    assert [z.imag for z in real] == [0.0, 0.0]
 
 
 # -- strip search against the whole-box quadrisection ------------------------
@@ -573,3 +578,152 @@ def test_nearest_stops_early(monkeypatch):
     assert len(near) < len(full)
     with pytest.raises(InputError):
         find_det_eigenvalues(p, DEFAULT_BOX, 80, nearest=0)
+
+
+def test_a_double_zero_raises_boundary_zero_error():
+    # |g| grows like d^2 away from a double zero, so a contour within about
+    # 3e-5 of it trips the residual floor before quadrisection isolates it
+    for z0 in (1 + 3j, 0.4 + 0.2j, -2 + 9j):
+        _, em, g1, g1p = char_det._exp_terms(z0)
+        r = -g1 / (2.0 * em - 1.0)
+        a1 = (2.0 * r * em - g1p) / (2.0 * em - 1.0)
+        p = prob(r - a1 * z0, a1)
+        assert abs(delta_scaled_eval(p, z0)) <= 1e-15 and abs(delta_deriv(p, z0)) <= 1e-15
+        with pytest.raises(BoundaryZeroError) as err:
+            find_det_eigenvalues(p, DEFAULT_BOX, 80)
+        assert abs(err.value.location - z0) <= 1e-2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SearchBox(1.0, 1.0, 0.0, 1.0),
+        lambda: SearchBox(0.0, 1.0, 2.0, -2.0),
+        lambda: SearchBox(0.0, float("inf"), 0.0, 1.0),
+        lambda: find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 0),
+        lambda: find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 80, nearest=0),
+    ],
+)
+def test_input_checks(call):
+    with pytest.raises(InputError):
+        call()
+
+
+# -- every guard that stays fires ------------------------------------------
+
+
+def test_contour_sample_on_a_zero():
+    # the box's top-left corner, a contour sample, is the zero 2 pi i itself
+    with pytest.raises(BoundaryZeroError) as err:
+        count_zeros(prob(0.0), SearchBox(0.0, 1.0, 0.5, TWO_PI))
+    assert err.value.location == TWO_PI * 1j
+
+
+def fake_determinant(monkeypatch, g, dg):
+    """Replace g and g' inside char_det by functions of a scalar or an array."""
+    monkeypatch.setattr(char_det, "delta_scaled_eval", lambda p, z: g(z))
+    monkeypatch.setattr(char_det, "delta_deriv", lambda p, z: dg(z))
+
+
+def test_segment_underflow_accepts_a_small_jump(monkeypatch):
+    # g' reads huge at the corner 1 + 0.5i alone, so the derivative bound
+    # fails on the segments ending there down to 1e-12, where g's zero
+    # phase jump is accepted
+    corner = 1.0 + 0.5j
+    fake_determinant(
+        monkeypatch,
+        lambda z: np.ones_like(z) if isinstance(z, np.ndarray) else 1.0 + 0j,
+        lambda z: np.where(z == corner, 1e300, 0.0),
+    )
+    assert count_zeros(prob(0.0), SearchBox(0.0, 1.0, 0.5, 1.0)) == 0
+
+
+def test_segment_underflow_raises_on_a_large_jump(monkeypatch):
+    # g flips sign across re = 0.3, a phase jump of pi that no segment resolves
+    fake_determinant(
+        monkeypatch,
+        lambda z: np.where(np.real(z) < 0.3, 1.0 + 0j, -1.0 + 0j),
+        lambda z: np.zeros(np.shape(z)),
+    )
+    with pytest.raises(BoundaryZeroError) as err:
+        count_zeros(prob(0.0), SearchBox(0.0, 1.0, 0.5, 1.0))
+    assert abs(err.value.location - (0.3 + 0.5j)) <= 1e-12
+
+
+def test_open_contour_gives_a_non_integer_winding(monkeypatch):
+    # the first three edges alone turn g about half way around its zero
+    edges = char_det._edge_points
+    monkeypatch.setattr(
+        char_det, "_edge_points", lambda box, samples_per_unit: edges(box, samples_per_unit)[:-24]
+    )
+    with pytest.raises(NumericalError, match="not close to an integer"):
+        count_zeros(prob(0.0), SearchBox(-1.0, 1.0, 5.0, 8.0))
+
+
+def test_clockwise_contour_gives_a_negative_count(monkeypatch):
+    edges = char_det._edge_points
+    monkeypatch.setattr(
+        char_det, "_edge_points", lambda box, samples_per_unit: edges(box, samples_per_unit)[::-1]
+    )
+    with pytest.raises(NumericalError, match="negative zero count -1"):
+        count_zeros(prob(0.0), SearchBox(-1.0, 1.0, 5.0, 8.0))
+
+
+def test_newton_gives_up_on_a_zero_derivative(monkeypatch):
+    monkeypatch.setattr(char_det, "delta_deriv", lambda p, z: 0j)
+    assert char_det._newton_polish(prob(0.0), 0.1 + 6.0j, SearchBox(-1.0, 1.0, 5.0, 8.0)) is None
+
+
+def test_newton_stalls_after_100_iterations(monkeypatch):
+    # a benchmark round trip (roundtrip, seed 1, item 297) starts Newton here;
+    # it wanders inside the region without converging
+    derivs = []
+    deriv = char_det.delta_deriv
+    monkeypatch.setattr(char_det, "delta_deriv", lambda p, z: derivs.append(z) or deriv(p, z))
+    p = prob(0.1275684588324153, -1.0211702521405979)
+    region = SearchBox(0.0, 4.0, 0.06911503837897559, 1.6391510997517034)
+    assert char_det._newton_polish(p, 2 + 0.8541330690653395j, region) is None
+    assert len(derivs) == 100
+
+
+def test_quadrisection_depth_limit(monkeypatch):
+    # a count that never resolves: one zero at the origin that Newton never finds
+    monkeypatch.setattr(char_det, "_newton_polish", lambda p, z, region: None)
+    monkeypatch.setattr(char_det, "_winding_number", lambda p, box: int(box.contains(0j)))
+    with pytest.raises(NumericalError, match="quadrisection depth exceeded"):
+        find_det_eigenvalues(prob(0.0), SearchBox(-1.0, 1.3, -0.7, 1.1), 8)
+
+
+def test_quadrisection_split_guards(monkeypatch):
+    box = SearchBox(-1.0, 1.0, -1.0, 1.0)
+    # every split's children claim one zero each, four against the parent's two
+    monkeypatch.setattr(char_det, "_winding_number", lambda p, b: 2 if b == box else 1)
+    with pytest.raises(NumericalError, match=r"parent 2, children sums \[4, 4, 4, 4, 4, 4\]"):
+        char_det._collect_roots(prob(0.0), box, 8, None, 0.0)
+
+    def on_every_split(p, b):
+        if b == box:
+            return 2
+        raise BoundaryZeroError(b.center)
+
+    monkeypatch.setattr(char_det, "_winding_number", on_every_split)
+    with pytest.raises(BoundaryZeroError) as err:
+        char_det._collect_roots(prob(0.0), box, 8, None, 0.0)
+    assert err.value.location == box.center
+
+
+def test_root_residual_bound(monkeypatch):
+    # Newton that returns its start unchanged leaves a residual far above the bound
+    monkeypatch.setattr(char_det, "_newton_polish", lambda p, z, region: z)
+    with pytest.raises(NumericalError, match="above its bound"):
+        find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 80)
+
+
+def test_overflow_left_of_minus_709_is_a_numerical_error():
+    p = prob(1.0, 2.0)
+    for lam in (-800.0, np.array([0j, -710.0 + 1j])):
+        for f in (delta_scaled_eval, delta_deriv):
+            with pytest.raises(NumericalError, match="overflows at lam = "):
+                f(p, lam)
+    with pytest.raises(NumericalError, match=r"\(-800"):
+        find_det_eigenvalues(p, SearchBox(-800.0, -790.0, -1.0, 1.0), 8)

@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import sys
 
 import mpmath as mp
 import pytest
@@ -84,6 +86,10 @@ def test_det_roots_far_left_root_passes_residual_check(tmp_path):
     root = min(parse_spectrum(out.read_text()).values, key=lambda z: abs(z + 9.88))
     want = mp.findroot(lambda z: mp_dhat(coeffs, z), mp.mpf(-9.88))
     assert abs(root - complex(want)) <= 1e-9
+    # the file carries the two real roots without an imaginary part
+    entries = json.loads(out.read_text())["entries"]
+    real = [e for e in entries if e["re"] in (-9.881438853445527, 1.483795050545004)]
+    assert len(real) == 2 and not any("im" in e for e in real)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +212,49 @@ def test_repeated_spectrum_entry_gives_exit_two(tmp_path, capsys):
     assert "$.entries" in capsys.readouterr().err
 
 
-def test_bad_subcommand_arguments():
-    assert main(["det-roots", "--coeffs", "1,2", "--box", "1,2,3"]) == 2
-    assert main(["det-roots", "--coeffs", "x,y", "--box", "-1,1,-1,1"]) == 2
-    assert main(["no-such-command"]) == 2
+def test_bad_subcommand_arguments(capsys):
+    for argv, message in (
+        (["det-roots", "--coeffs", "1,2", "--box", "1,2,3"], "re0,re1,im0,im1"),
+        (["det-roots", "--coeffs", "1,2", "--box", "a,b,c,d"], "must be numbers"),
+        (["det-roots", "--coeffs", "x,y", "--box", "-1,1,-1,1"], "coefficient #0"),
+        (["det-roots", "--coeffs", "", "--box", "-1,1,-1,1"], "empty coefficient list"),
+        (["no-such-command"], "invalid choice"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_roundtrip_coeffs_writes_csv(tmp_path):
+    csv_path = tmp_path / "one.csv"
+    assert main(["roundtrip", "--coeffs", "-0.5,1.25", "--out", str(tmp_path / "r.json"),
+                 "--csv", str(csv_path)]) == 0
+    lines = csv_path.read_text().strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--degree", "0", "--eigs", "{far}"],
+        ["det-roots", "--coeffs", "1,2", "--box", "-800,-790,-1,1"],
+    ],
+)
+def test_overflow_left_of_minus_709_exits_one(tmp_path, argv, capsys):
+    far = write(tmp_path, "far.json", '{"entries": [{"re": -800.0, "multiplicity": 1}]}')
+    assert main([a.format(far=far) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: e^(-lam) overflows at lam = (-800")
+
+
+@pytest.mark.filterwarnings("ignore:'invspec.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["invspec", "invspec.cli"])
+def test_python_dash_m_entry_points(module, monkeypatch, capsys):
+    argv = ["invspec", "det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module(module, run_name="__main__")
+    assert done.value.code == 0
+    assert len(parse_spectrum(capsys.readouterr().out)) == 10

@@ -12,6 +12,7 @@ from invspec import (
     poly_max_abs_diff,
     spectra_match,
 )
+from invspec.core import CLUSTER_RADIUS
 from oracles import mp_power_sum_eval, union_find_clusters
 
 REL_TOL = 1e-14
@@ -104,8 +105,10 @@ def test_spectra_match_reflexive_symmetric(rng):
     for _ in range(100):
         n = int(rng.integers(1, 6))
         pts = [complex(a, b) for a, b in rng.uniform(-5, 5, (n, 2))]
-        s1 = Spectrum.from_points(pts)
-        s2 = Spectrum.from_points([z + complex(*rng.uniform(-1e-8, 1e-8, 2)) for z in pts])
+        ones = [1] * n
+        s1 = Spectrum(tuple(union_find_clusters(pts, ones, CLUSTER_RADIUS)))
+        jittered = [z + complex(*rng.uniform(-1e-8, 1e-8, 2)) for z in pts]
+        s2 = Spectrum(tuple(union_find_clusters(jittered, ones, CLUSTER_RADIUS)))
         assert spectra_match(s1, s1, 1e-12)
         tol = 1e-6
         assert spectra_match(s1, s2, tol) == spectra_match(s2, s1, tol)
@@ -122,28 +125,17 @@ def test_spectrum_requires_sorted_entries():
         Spectrum(((1.0 + 0j, 0),))
 
 
-def test_spectrum_clustering_matches_union_find(rng):
-    for _ in range(60):
-        n = int(rng.integers(1, 11))
-        radius = 0.3
-        # points either well separated or piled into tight clusters
-        centers = rng.uniform(-10, 10, (max(1, n // 2), 2))
-        pts = []
-        for _ in range(n):
-            c = centers[rng.integers(0, len(centers))]
-            pts.append(complex(c[0], c[1]) + complex(*rng.uniform(-0.01, 0.01, 2)))
-        mults = [int(m) for m in rng.integers(1, 4, n)]
-        got = Spectrum.from_points(pts, cluster_radius=radius, multiplicities=mults)
-        want = union_find_clusters(pts, mults, radius)
-        assert len(got.entries) == len(want)
-        for (zv, zm), (wv, wm) in zip(got.entries, want):
-            assert zm == wm
-            assert abs(zv - wv) < 1e-12
-
-
-def test_spectrum_merges_duplicates_and_sums_multiplicity():
-    s = Spectrum.from_points([1.0, 1.0 + 1e-9, 5.0], cluster_radius=1e-8)
-    assert len(s) == 2
-    assert s.multiplicities == (2, 1)
-    assert abs(s.values[0] - (1.0 + 5e-10)) < 1e-12
-
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Polynomial(("one",)),
+        lambda: Polynomial((None,)),
+        lambda: Spectrum((("one", 1),)),
+        lambda: Spectrum(((math.inf, 1),)),
+        lambda: spectra_match(Spectrum(()), Spectrum(()), "tight"),
+        lambda: spectra_match(Spectrum(()), Spectrum(()), None),
+    ],
+)
+def test_input_checks(call):
+    with pytest.raises(InputError):
+        call()

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from invspec import ConstantPotential, Polynomial, RoundTripReport, SchemaError, Spectrum
+from invspec import (
+    ConstantPotential,
+    InputError,
+    Polynomial,
+    Potential,
+    RoundTripReport,
+    SchemaError,
+    Spectrum,
+)
 from invspec.fileio import (
     emit_potential,
     emit_report,
@@ -12,14 +20,16 @@ from invspec.fileio import (
     parse_spectrum,
     reports_to_csv,
 )
+from invspec.core import CLUSTER_RADIUS
 from conftest import seeded_potential_mix
+from oracles import union_find_clusters
 
 
 def seeded_spectrum(rng):
     n = int(rng.integers(1, 7))
     pts = [complex(a, b) for a, b in rng.uniform(-9, 9, (n, 2))]
     mults = [int(m) for m in rng.integers(1, 3, n)]
-    return Spectrum.from_points(pts, multiplicities=mults)
+    return Spectrum(tuple(union_find_clusters(pts, mults, CLUSTER_RADIUS)))
 
 
 def seeded_report(rng):
@@ -122,3 +132,31 @@ def test_csv_export_has_header_and_rows(rng):
     assert lines[0].startswith("trial,true_coeffs,recovered,max_coeff_error,condition")
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "0"
+
+
+@pytest.mark.parametrize(
+    "parse,text,field",
+    [
+        (parse_potential, '{"kind": "constant", "c": "1"}', "$.c"),
+        (parse_potential, '{"kind": "grid", "nodes": 3, "values": [1, 2]}', "$.nodes"),
+        (parse_potential, "[1, 2]", "$"),
+        (parse_potential, '{"kind": "spline"}', "$.kind"),
+        (parse_spectrum, "[]", "$"),
+        (parse_spectrum, '{"entries": {}}', "$.entries"),
+        (parse_spectrum, '{"entries": [1.0]}', "$.entries[0]"),
+        (parse_report, '"report"', "$"),
+        (parse_report, '{"true_coeffs": [], "recovered": [1.0]}', "$.true_coeffs"),
+    ],
+)
+def test_schema_checks_name_the_field(parse, text, field):
+    with pytest.raises(SchemaError) as err:
+        parse(text)
+    assert err.value.field == field
+
+
+def test_unknown_potential_kind_has_no_file_form():
+    class Spline(Potential):
+        kind = "spline"
+
+    with pytest.raises(InputError, match="spline"):
+        emit_potential(Spline())

@@ -1,9 +1,13 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from invspec import reconstruct
 from invspec import (
     BoundaryPolynomialProblem,
     InputError,
@@ -20,7 +24,7 @@ from invspec import (
     select_reconstruction_nodes,
     vandermonde_solve,
 )
-from oracles import mp_real_root_bisect, mp_vandermonde_solve, rhs_printed_form
+from oracles import mp, mp_real_root_bisect, mp_vandermonde_solve, rhs_printed_form
 
 TWO_PI = 2.0 * math.pi
 BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
@@ -108,8 +112,35 @@ def test_vandermonde_recovers_known_degree_six(rng):
 
 def test_condition_trivials():
     assert condition_estimate([1.0]) == 1.0
+    assert condition_estimate([1.0, 1.0]) == math.inf
     assert abs(condition_estimate([1.0, -1.0]) - 2.0) <= 1e-12
     assert condition_estimate([1.0, 1.001]) >= 1e3
+
+
+def test_condition_is_the_exact_one_norm_product(rng):
+    for n in range(1, 13):
+        for _ in range(5):
+            nodes = [complex(a, b) for a, b in rng.uniform(-6, 6, (n, 2))]
+            V = mp.matrix([[mp.mpc(z) ** j for j in range(n)] for z in nodes])
+            W = V**-1
+            want = max(sum(abs(V[r, c]) for r in range(n)) for c in range(n)) * max(
+                sum(abs(W[r, c]) for r in range(n)) for c in range(n)
+            )
+            # the inverse's rounding error grows with the condition itself
+            if want <= 1e10:
+                assert abs(condition_estimate(nodes) - want) <= 1e-11 * want
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, invspec; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_condition_monotone_gate(rng):
@@ -185,7 +216,7 @@ def test_conjugate_closure_gives_real_coefficients():
 
 
 def test_node_selection_policy():
-    values = Spectrum.from_points((3.0 + 0j, -1.0 + 0j, 0.5 + 2j, 1.0 + 0j))
+    values = Spectrum(((-1.0 + 0j, 1), (0.5 + 2j, 1), (1.0 + 0j, 1), (3.0 + 0j, 1)))
     picked = select_reconstruction_nodes(values, 1)
     assert picked == (-1.0 + 0j, 1.0 + 0j)
     with pytest.raises(InputError):
@@ -210,3 +241,34 @@ def test_uniqueness_on_separated_pairs(rng):
         err_b = poly_max_abs_diff(rec.coefficients, b)
         assert err_a <= 1e-6 * max(1.0, rec.vandermonde_condition)
         assert err_b >= 0.1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: condition_estimate([]),
+        lambda: condition_estimate([1.0, "x"]),
+        lambda: vandermonde_solve([1.0, 2.0], [3.0]),
+        lambda: vandermonde_solve([], []),
+        lambda: vandermonde_solve([1.0, math.nan], [1.0, 2.0]),
+        lambda: rhs_value(math.inf),
+    ],
+)
+def test_input_checks(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_interpolation_residual_check(monkeypatch):
+    # coefficients off by 1e-3 miss every node value
+    solve = reconstruct._bjorck_pereyra
+    monkeypatch.setattr(reconstruct, "_bjorck_pereyra", lambda z, v: solve(z, v) + 1e-3)
+    with pytest.raises(NumericalError, match="interpolation residual"):
+        vandermonde_solve([1.0, 2.0], [3.0, 5.0])
+
+
+def test_reconstruction_residual_check(monkeypatch):
+    # a determinant that does not vanish where rhs_value says A pins a zero
+    monkeypatch.setattr(reconstruct, "delta_scaled_eval", lambda prob, z: 1e-3)
+    with pytest.raises(NumericalError, match="reconstruction residual"):
+        reconstruct_coeffs((1.0 + 2j, -0.5 + 7j))

@@ -5,10 +5,13 @@ import pytest
 
 from invspec import sl_forward
 from invspec import (
+    BracketingError,
     ConstantPotential,
     CosinePotential,
     GridPotential,
     InputError,
+    IntegrationError,
+    NumericalError,
     PolyPotential,
     Spectrum,
     eigenvalue_count_below,
@@ -18,7 +21,7 @@ from invspec import (
     rayleigh_mean_gap,
     shoot_miss,
 )
-from conftest import seeded_grid_potential, seeded_potential_mix
+from conftest import seeded_grid_potential, seeded_potential_mix, shifted_grid
 from oracles import fd_neumann_eigenvalues
 
 PI2 = math.pi**2
@@ -93,7 +96,7 @@ def test_shift_covariance_sample(rng):
         q = seeded_grid_potential(rng, n_nodes=6)
         base = neumann_eigenvalues(q, 8)
         for c in (-3.0, 1.0, 7.0):
-            shifted = neumann_eigenvalues(q.shifted(c), 8)
+            shifted = neumann_eigenvalues(shifted_grid(q, c), 8)
             assert max(abs(s - b - c) for b, s in zip(base.values, shifted.values)) <= 1e-8
 
 
@@ -195,3 +198,110 @@ def test_asymptotic_sanity_gate(rng):
         gate = max(1.0, q.total_variation())
         for n in range(5, 9):
             assert abs(spec.values[n] - (n * math.pi) ** 2 - qbar) <= gate
+
+
+def strong_potentials(rng):
+    """Two of each kind, with values up to 200 and cosine frequencies up to 8."""
+    for _ in range(2):
+        yield ConstantPotential(float(rng.uniform(-200.0, 200.0)))
+        yield seeded_grid_potential(rng, bound=200.0, lattice=10)
+        yield CosinePotential(float(rng.uniform(20.0, 200.0)), int(rng.integers(1, 9)))
+        coeffs = rng.uniform(-50.0, 50.0, int(rng.integers(2, 6)))
+        yield PolyPotential(tuple(float(c) for c in coeffs))
+
+
+def test_strong_potentials_count_and_solve():
+    # below a strong potential's spectrum the phase must be scaled by
+    # sqrt(q - lam), as above it: a fixed scale there miscounted
+    for i, q in enumerate(strong_potentials(np.random.default_rng(5))):
+        oracle = fd_neumann_eigenvalues(q, 12)
+        for mu in [oracle[0] - 5.0, *(0.5 * (oracle[:-1] + oracle[1:]))]:
+            assert eigenvalue_count_below(q, mu) == int(np.sum(oracle < mu)), (q, mu)
+        if i < 4:
+            got = neumann_eigenvalues(q, 12).values
+            assert max(abs(a - b) for a, b in zip(got, oracle)) <= 1e-6, q
+    # lam_0 = -1.749 here, and a fixed scale counted 2 eigenvalues below -6.7
+    assert eigenvalue_count_below(CosinePotential(82.28616787857973, 7), -6.7) == 0
+
+
+def test_grid_nodes_closer_than_the_step_floor():
+    # a breakpoint 5e-15 past another counts as landed instead of asking for a 5e-15 step
+    def first_three(gap):
+        q = GridPotential((0.0, 0.5, 0.5 + gap, 1.0), (0.0, 1.0, -1.0, 0.0))
+        return neumann_eigenvalues(q, 3)
+
+    near = first_three(5e-15).values
+    assert max(abs(a - b) for a, b in zip(near, first_three(2e-14).values)) <= 1e-9
+
+
+def test_free_spectrum_verdict_needs_entries():
+    with pytest.raises(InputError):
+        free_spectrum_verdict(Spectrum(()), 1e-6)
+
+
+# -- every guard that stays fires ------------------------------------------
+
+
+def test_far_below_the_spectrum_caps_growth_and_renormalizes(monkeypatch):
+    # q - lam = 1e8: the growth cap 80/sqrt(q - lam) sets every step, and y,
+    # which grows like e^(1e4) across [0, 1], stays finite by renormalization
+    steps = []
+    step = sl_forward._step
+
+    def spy(qf, lam, x, h, y, p):
+        steps.append(h)
+        return step(qf, lam, x, h, y, p)
+
+    monkeypatch.setattr(sl_forward, "_step", spy)
+    y, p, _ = sl_forward._integrate(lambda x: 0.0, (), -1e8, 1e-12, True)
+    assert math.isfinite(y) and math.isfinite(p)
+    assert max(steps) <= 80.0 / 1e4
+    assert eigenvalue_count_below(ConstantPotential(0.0), -1e8) == 0
+
+
+def test_step_underflow():
+    q = CosinePotential(1.0, 1)
+    with pytest.raises(IntegrationError, match="underflow"):
+        sl_forward._integrate(q.evaluator(), q.breakpoints(), 3.0, 0.0, False)
+
+
+class LyingLowerBound(ConstantPotential):
+    def lower_bound(self) -> float:
+        return max(self.value + 5.0, 0.0)
+
+
+class UnderReportedVariation(CosinePotential):
+    def total_variation(self) -> float:
+        return 0.0
+
+
+def test_a_lying_lower_bound_is_widened():
+    spec = neumann_eigenvalues(LyingLowerBound(0.0), 3)
+    assert max(abs(lam - (n * math.pi) ** 2) for n, lam in enumerate(spec.values)) <= 1e-8
+    # lam_0 = -1e5 lies below all four starts, -1, -21, -241 and -2651
+    with pytest.raises(BracketingError, match="#0"):
+        neumann_eigenvalues(LyingLowerBound(-1e5), 1)
+
+
+def test_count_bisection_stalls_on_a_window_that_misses():
+    # a window of half-width 2 around mean q = 0 misses lam_0 near -190
+    with pytest.raises(BracketingError, match="#0"):
+        neumann_eigenvalues(UnderReportedVariation(200.0, 1), 1)
+
+
+def test_residual_floor_and_predecessor_checks(monkeypatch):
+    q = ConstantPotential(0.0)
+    monkeypatch.setattr(sl_forward, "_refine_bracket", lambda miss, a, *rest: (a, 1.0, 1.0))
+    with pytest.raises(NumericalError, match="residual"):
+        neumann_eigenvalues(q, 2)
+    monkeypatch.setattr(sl_forward, "_refine_bracket", lambda *args: (-1.0, 0.0, 1.0))
+    with pytest.raises(NumericalError, match="#1 not above its predecessor"):
+        neumann_eigenvalues(q, 2)
+
+
+def test_asymptotic_sanity_gate_fires(monkeypatch):
+    # a mean off by 1.5 moves every guess by 1.5: inside the window of
+    # half-width 2, outside the gate of 1
+    monkeypatch.setattr(sl_forward, "mean_value", lambda q: 1.5)
+    with pytest.raises(NumericalError, match="#5 violates the asymptotic sanity gate"):
+        neumann_eigenvalues(ConstantPotential(0.0), 6)

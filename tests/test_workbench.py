@@ -184,3 +184,12 @@ def test_only_roundtrip_stops_early(monkeypatch):
     calls.clear()
     roundtrip(a, ExperimentConfig())
     assert [nearest for nearest, _, _ in calls] == [2]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"trials": 0}, {"degree_range": (-1, 2)}, {"degree_range": (3, 2)}],
+)
+def test_experiment_config_checks(kwargs):
+    with pytest.raises(InputError):
+        ExperimentConfig(**kwargs)
