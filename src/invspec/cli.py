@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Each command writes its JSON document to --out, or to stdout when --out is
-not given, and its one-line summary to stderr, so stdout always parses as
-JSON (`compare` alone prints its report lines to stdout).
+not given (`compare` has no --out), and its summary to stderr, so stdout
+always parses as JSON.
 
 Exit codes: 0 success, 1 numerical failure or empty result (with
 diagnostic), 2 invalid input (bad arguments or malformed files).
@@ -170,12 +170,20 @@ def _cmd_uniqueness(args) -> int:
 
 def _cmd_compare(args) -> int:
     report = compare_neumann(args.potential_a, args.potential_b, args.count, args.tol)
+    doc = {
+        "gaps": list(report.gaps),
+        "matched": report.matched,
+        "free_spectrum_a": report.free_spectrum_a,
+        "free_spectrum_b": report.free_spectrum_b,
+        "zero_potential_flag": report.zero_potential_flag,
+    }
+    sys.stdout.write(dump_json(doc))
     for i, gap in enumerate(report.gaps):
-        print(f"index {i}: gap {gap:.6e}")
-    print("spectra match:", report.matched)
-    print("free-spectrum flags:", report.free_spectrum_a, report.free_spectrum_b)
+        print(f"index {i}: gap {gap:.6e}", file=sys.stderr)
+    print("spectra match:", report.matched, file=sys.stderr)
+    print("free-spectrum flags:", report.free_spectrum_a, report.free_spectrum_b, file=sys.stderr)
     if report.zero_potential_flag:
-        print("both spectra are free: the potentials must vanish identically")
+        print("both spectra are free: the potentials must vanish identically", file=sys.stderr)
     return 0
 
 

@@ -6,7 +6,9 @@ nodes) with step-doubling local error control.  It is exact for constant
 coefficients, but the rotation cap on its step makes the steps per shot
 grow like sqrt(lam) once lam is large.  Eigenvalue counting integrates a
 scaled phase of (y, y') and counts phase multiples of pi at x = 1, which
-brackets each eigenvalue before sign refinement on y'(1).
+brackets each eigenvalue.  Newton on y'(1) refines it inside that bracket,
+with the slope d y'(1) / d lam = -integral(y^2) / y(1) that the Lagrange
+identity gives at an eigenvalue.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ _GAUSS_OFF = math.sqrt(3.0) / 6.0
 _COMM_COEF = math.sqrt(3.0) / 12.0
 _EPS = math.ulp(1.0)
 _RENORM_LIMIT = 1e6
-# relative stop width of eigenvalue refinement; shots run at EIG_TOL / 100
+# relative Newton step that stops eigenvalue refinement; shots run at EIG_TOL / 100
 EIG_TOL = 1e-10
 
 
@@ -97,13 +99,16 @@ def _integrate(qf, breaks, lam, loc_tol, track_phase):
     renormalized whenever its max-norm exceeds 1e6; uniform rescaling
     preserves both the zero set of y'(1) and every phase angle.
 
-    Returns (y(1), y'(1), psi(1)) with psi the continuous scaled phase
-    (pi/2 initially; meaningful only when track_phase is set).
+    Returns (y(1), y'(1), psi(1), M) with psi the continuous scaled phase
+    (pi/2 initially; meaningful only when track_phase is set) and M the
+    integral of y^2 over [0, 1], by Simpson's rule on each accepted step and
+    in the scale of the returned y.
     """
     x = 0.0
     y = 1.0
     p = 0.0
     psi = _HALF_PI
+    m = 0.0
     cur_scale = 1e-2
     bi = 0
     nb = len(breaks)
@@ -144,12 +149,14 @@ def _integrate(qf, breaks, lam, loc_tol, track_phase):
                 psi, cur_scale = _advance_phase(psi, cur_scale, y, p, ym, pm, wma)
                 psi, cur_scale = _advance_phase(psi, cur_scale, ym, pm, y2, p2, wmb)
             x += h
+            m += h * (y * y + 4.0 * ym * ym + y2 * y2) / 6.0
             y, p = y2, p2
             w_prev = wmb
             n = abs(y) if abs(y) > abs(p) else abs(p)
             if n > _RENORM_LIMIT:
                 y /= n
                 p /= n
+                m /= n * n
             if err == 0.0:
                 h *= 5.0
             else:
@@ -158,23 +165,23 @@ def _integrate(qf, breaks, lam, loc_tol, track_phase):
         else:
             fac = 0.9 * (tol_step / err) ** 0.2
             h *= 0.1 if fac < 0.1 else fac
-    return y, p, psi
+    return y, p, psi, m
 
 
 def _shooters(q: Potential, eig_tol: float = EIG_TOL):
-    """count_below(mu): eigenvalues below mu, from the phase; miss(lam): (y'(1), y(1))."""
+    """count_below(mu): eigenvalues below mu, from the phase; miss(lam): (y'(1), y(1), M)."""
     qf = q.evaluator()
     breaks = q.breakpoints()
     loc_tol = eig_tol / 100.0
 
     def count_below(mu: float) -> int:
-        _, _, psi = _integrate(qf, breaks, mu, loc_tol, True)
+        psi = _integrate(qf, breaks, mu, loc_tol, True)[2]
         n = math.ceil((psi - _HALF_PI) / math.pi - 1e-12)
         return n if n > 0 else 0
 
     def miss(lam: float):
-        yv, pv, _ = _integrate(qf, breaks, lam, loc_tol, False)
-        return pv, yv
+        yv, pv, _, m = _integrate(qf, breaks, lam, loc_tol, False)
+        return pv, yv, m
 
     return count_below, miss
 
@@ -204,76 +211,48 @@ def mean_value(q: Potential) -> float:
 
 
 def _width_stop(a: float, b: float, eig_tol: float) -> float:
-    # eig_tol is a relative width target; it saturates to absolute near zero
+    # eig_tol is a relative stop target; it saturates to absolute near zero
     return max(eig_tol * max(1.0, abs(a), abs(b)), 8.0 * _EPS * max(abs(a), abs(b), 1.0))
 
 
-def _refine_bracket(miss, a, fa, ya, b, fb, yb, eig_tol: float):
-    """Shrink a sign-change bracket of y'(1) until its width is below eig_tol.
+def _newton_refine(miss, k: int, a: float, b: float, eig_tol: float):
+    """Safeguarded Newton on y'(1) for lam_k, the one eigenvalue in [a, b].
 
-    miss(lam) gives (y'(1), y(1)); fa, ya and fb, yb are those at a and b.
-    Illinois-damped false position: secant candidates are clamped no closer
-    than half the stop width to an endpoint, and any step that fails to
-    halve the bracket forces a bisection next, so progress is guaranteed.
-    Ends with one guarded secant polish on the final interval, and returns
-    (lam, y'(1), y(1)) at the point of least |y'(1)|.
+    miss(lam) gives (y'(1), y(1), M) with M the integral of y^2.  With
+    u = d y / d lam, the Lagrange identity M = u(1) y'(1) - y(1) u'(1) gives
+    u'(1) = -M / y(1) where y'(1) = 0, so the Newton step is y'(1) y(1) / M.
+    Below lam_k in the bracket y'(1) has the sign (-1)^k, which moves one
+    end of the bracket to each shot; a step that would leave the bracket
+    bisects instead.  Once a step is below the stop width, one last shot at
+    its end is kept if its |y'(1)| is smaller.  Returns (lam, y'(1), y(1)).
     """
-    it = 0
-    side = 0
-    force_bisect = False
-    fa_true, fb_true = fa, fb
-    while True:
-        width = b - a
-        xtol = _width_stop(a, b, eig_tol)
-        if width <= xtol:
-            break
-        x = None
-        if not force_bisect and fb != fa:
-            cand = (a * fb - b * fa) / (fb - fa)
-            clamp = max(0.45 * xtol, 4.0 * _EPS * max(abs(a), abs(b)))
-            if cand < a + clamp:
-                cand = a + clamp
-            elif cand > b - clamp:
-                cand = b - clamp
-            if a < cand < b:
-                x = cand
-        if x is None:
-            x = 0.5 * (a + b)
-            side = 0
-        fx, yx = miss(x)
-        if fx == 0.0:
-            return x, 0.0, yx
-        if (fx > 0.0) == (fa_true > 0.0):
-            a, fa, fa_true, ya = x, fx, fx, yx
-            if side == -1:
-                fb *= 0.5
-            side = -1
+    below = k % 2 == 0
+    lam = 0.5 * (a + b)
+    for _ in range(100):
+        f, y, m = miss(lam)
+        step = f * y / m
+        # the step is tested before the bracket moves: at an eigenvalue the
+        # sign of a y'(1) that is pure rounding noise says nothing
+        if abs(step) <= _width_stop(a, b, eig_tol):
+            if lam + step == lam:
+                return lam, f, y
+            f2, y2, _ = miss(lam + step)
+            return (lam + step, f2, y2) if abs(f2) < abs(f) else (lam, f, y)
+        if (f > 0.0) == below:
+            a = lam
         else:
-            b, fb, fb_true, yb = x, fx, fx, yx
-            if side == 1:
-                fa *= 0.5
-            side = 1
-        force_bisect = (b - a) > 0.5 * width
-        it += 1
-        if it > 200:
-            raise NumericalError(f"eigenvalue refinement stalled on [{a}, {b}]")
-    if fb_true != fa_true:
-        x = b - fb_true * (b - a) / (fb_true - fa_true)
-        x = min(max(x, a), b)
-    else:
-        x = 0.5 * (a + b)
-    fx, yx = miss(x)
-    best = min(
-        ((abs(fa_true), a, fa_true, ya), (abs(fb_true), b, fb_true, yb), (abs(fx), x, fx, yx))
-    )
-    return best[1:]
+            b = lam
+        lam += step
+        if not a < lam < b:
+            lam = 0.5 * (a + b)
+    raise NumericalError(f"eigenvalue #{k} refinement stalled on [{a}, {b}]")
 
 
 def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> Spectrum:
     """First `count` Neumann eigenvalues of -y'' + q y = lam y, each of multiplicity 1.
 
     Each eigenvalue is isolated by the phase-counting function, then refined
-    on the sign of y'(1) to a relative width of eig_tol.  By min-max,
+    by safeguarded Newton on y'(1) to a relative step of eig_tol.  By min-max,
     lam_k lies in [(k pi)^2 + min q, (k pi)^2 + max q], so the window of
     half-width total_variation + 1 around (k pi)^2 + mean q always holds
     it; the count bisection raises BracketingError when it does not.
@@ -314,26 +293,7 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
             if it > 200:
                 raise BracketingError(k, (a, b))
 
-        fa, ya = miss(a)
-        fb, yb = miss(b)
-        nudge = 1e-9 * (1.0 + abs(a))
-        tries = 0
-        while fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
-            # counting said exactly one zero inside; stretch the bracket a hair
-            tries += 1
-            if tries > 6:
-                raise BracketingError(k, (a, b))
-            a -= nudge
-            b += nudge
-            nudge *= 10.0
-            fa, ya = miss(a)
-            fb, yb = miss(b)
-        if fa == 0.0:
-            lam_k, f_k, y_end = a, 0.0, ya
-        elif fb == 0.0:
-            lam_k, f_k, y_end = b, 0.0, yb
-        else:
-            lam_k, f_k, y_end = _refine_bracket(miss, a, fa, ya, b, fb, yb, eig_tol)
+        lam_k, f_k, y_end = _newton_refine(miss, k, a, b, eig_tol)
 
         # a wider stop leaves y'(1) proportionally further from zero
         floor = RESIDUAL_TOL * (1.0 + abs(y_end) + abs(lam_k)) * max(1.0, eig_tol / EIG_TOL)

@@ -674,7 +674,7 @@ def test_newton_gives_up_on_a_zero_derivative(monkeypatch):
     assert char_det._newton_polish(prob(0.0), 0.1 + 6.0j, SearchBox(-1.0, 1.0, 5.0, 8.0)) is None
 
 
-def test_newton_stalls_after_100_iterations(monkeypatch):
+def test_newton_stalls_after_50_iterations(monkeypatch):
     # a benchmark round trip (roundtrip, seed 1, item 297) starts Newton here;
     # it wanders inside the region without converging
     derivs = []
@@ -683,7 +683,7 @@ def test_newton_stalls_after_100_iterations(monkeypatch):
     p = prob(0.1275684588324153, -1.0211702521405979)
     region = SearchBox(0.0, 4.0, 0.06911503837897559, 1.6391510997517034)
     assert char_det._newton_polish(p, 2 + 0.8541330690653395j, region) is None
-    assert len(derivs) == 100
+    assert len(derivs) == 50
 
 
 def test_quadrisection_depth_limit(monkeypatch):

@@ -147,9 +147,13 @@ def test_compare_command(tmp_path, capsys):
     pb = write(tmp_path, "b.json", emit_potential(ConstantPotential(0.0)))
     assert main(["compare", "--potential-a", pa, "--potential-b", pb,
                  "--count", "3", "--tol", "1e-6"]) == 0
-    text = capsys.readouterr().out
-    assert "spectra match: True" in text
-    assert "vanish identically" in text
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["matched"] is True and doc["zero_potential_flag"] is True
+    assert doc["free_spectrum_a"] is True and doc["free_spectrum_b"] is True
+    assert len(doc["gaps"]) == 3 and max(doc["gaps"]) <= 1e-6
+    assert "spectra match: True" in captured.err
+    assert "vanish identically" in captured.err
 
 
 def test_malformed_file_gives_exit_two(tmp_path, capsys):

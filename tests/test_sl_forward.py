@@ -119,8 +119,16 @@ def test_count_requires_positive():
         neumann_eigenvalues(ConstantPotential(0.0), 1, eig_tol=0.0)
 
 
-def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
-    # y(1) for the residual floor comes out of the refinement, not a second shot
+SHOT_POTENTIALS = (
+    ConstantPotential(1.5),
+    GridPotential((0.0, 0.4, 1.0), (1.0, -2.0, 0.5)),
+    CosinePotential(1.0, 1),
+    PolyPotential((0.5, -1.0, 2.0)),
+)
+
+
+def record_shots(monkeypatch):
+    """The lambdas of every shooting shot; phase shots are not recorded."""
     shots = []
     integrate = sl_forward._integrate
 
@@ -130,15 +138,38 @@ def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
         return integrate(qf, breaks, lam, loc_tol, track_phase)
 
     monkeypatch.setattr(sl_forward, "_integrate", recording)
-    for q in (
-        ConstantPotential(1.5),
-        GridPotential((0.0, 0.4, 1.0), (1.0, -2.0, 0.5)),
-        CosinePotential(1.0, 1),
-        PolyPotential((0.5, -1.0, 2.0)),
-    ):
+    return shots
+
+
+def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
+    # y(1) for the residual floor comes out of the refinement, not a second shot
+    shots = record_shots(monkeypatch)
+    for q in SHOT_POTENTIALS:
         shots.clear()
         neumann_eigenvalues(q, 8)
         assert len(shots) == len(set(shots))
+
+
+def test_newton_takes_few_shots_per_eigenvalue(monkeypatch):
+    # safeguarded Newton takes about 3.5 shooting shots per eigenvalue here
+    shots = record_shots(monkeypatch)
+    for q in SHOT_POTENTIALS:
+        neumann_eigenvalues(q, 8)
+    assert len(shots) <= 5 * 8 * len(SHOT_POTENTIALS)
+
+
+def test_integral_of_y_squared_for_a_constant_potential():
+    # y = cos(w x) with w = sqrt(lam - c).  Simpson's rule is 0.1-2.9% off at
+    # lam - c = 10, 1e2, 1e3 and 1e4, but up to 22% near lam - c = 400, where
+    # each step turns y^2 through up to 6 rad.  Newton needs only the slope's
+    # sign, which positive weights keep, and its rough size: an error e in M
+    # makes each step near lam_k shrink the error by a factor e
+    c = 3.0
+    for lam in c + np.geomspace(0.5, 1e5, 60):
+        omega = math.sqrt(lam - c)
+        want = 0.5 + math.sin(2.0 * omega) / (4.0 * omega)
+        m = sl_forward._integrate(lambda x: c, (), lam, 1e-12, False)[3]
+        assert abs(m - want) <= 0.25 * want, lam
 
 
 def test_neumann_spectrum_validates_monotone():
@@ -253,8 +284,9 @@ def test_far_below_the_spectrum_caps_growth_and_renormalizes(monkeypatch):
         return step(qf, lam, x, h, y, p)
 
     monkeypatch.setattr(sl_forward, "_step", spy)
-    y, p, _ = sl_forward._integrate(lambda x: 0.0, (), -1e8, 1e-12, True)
+    y, p, _, m = sl_forward._integrate(lambda x: 0.0, (), -1e8, 1e-12, True)
     assert math.isfinite(y) and math.isfinite(p)
+    assert math.isfinite(m) and m > 0.0
     assert max(steps) <= 80.0 / 1e4
     assert eigenvalue_count_below(ConstantPotential(0.0), -1e8) == 0
 
@@ -291,10 +323,10 @@ def test_count_bisection_stalls_on_a_window_that_misses():
 
 def test_residual_floor_and_predecessor_checks(monkeypatch):
     q = ConstantPotential(0.0)
-    monkeypatch.setattr(sl_forward, "_refine_bracket", lambda miss, a, *rest: (a, 1.0, 1.0))
+    monkeypatch.setattr(sl_forward, "_newton_refine", lambda miss, k, a, *rest: (a, 1.0, 1.0))
     with pytest.raises(NumericalError, match="residual"):
         neumann_eigenvalues(q, 2)
-    monkeypatch.setattr(sl_forward, "_refine_bracket", lambda *args: (-1.0, 0.0, 1.0))
+    monkeypatch.setattr(sl_forward, "_newton_refine", lambda *args: (-1.0, 0.0, 1.0))
     with pytest.raises(NumericalError, match="#1 not above its predecessor"):
         neumann_eigenvalues(q, 2)
 
@@ -305,3 +337,55 @@ def test_asymptotic_sanity_gate_fires(monkeypatch):
     monkeypatch.setattr(sl_forward, "mean_value", lambda q: 1.5)
     with pytest.raises(NumericalError, match="#5 violates the asymptotic sanity gate"):
         neumann_eigenvalues(ConstantPotential(0.0), 6)
+
+
+def fake_miss(*results):
+    """A miss that returns the given (y'(1), y(1), M) in turn and records each lambda."""
+    shots = []
+    it = iter(results)
+
+    def miss(lam):
+        shots.append(lam)
+        return next(it)
+
+    return miss, shots
+
+
+def test_newton_step_that_leaves_the_bracket_bisects():
+    # step 10 from the midpoint 2 leaves [0, 4]; y'(1) > 0 puts 2 below lam_0,
+    # so the bracket becomes [2, 4] and the next shot is at 3, where y'(1) = 0
+    miss, shots = fake_miss((1.0, 1.0, 0.1), (0.0, 1.0, 1.0))
+    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (3.0, 0.0, 1.0)
+    assert shots == [2.0, 3.0]
+    # for lam_1 the same sign puts 2 above it: the bracket becomes [0, 2]
+    miss, shots = fake_miss((1.0, -1.0, 0.1), (0.0, 1.0, 1.0))
+    assert sl_forward._newton_refine(miss, 1, 0.0, 4.0, 1e-10)[0] == 1.0
+    assert shots == [2.0, 1.0]
+
+
+def test_newton_stop_takes_one_last_shot_unless_the_step_vanishes():
+    # a step below the stop width ends the search; its end is shot once and
+    # kept when its |y'(1)| is smaller
+    miss, shots = fake_miss((1e-10, 1.0, 1.0), (1e-20, 2.0, 1.0))
+    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (2.0 + 1e-10, 1e-20, 2.0)
+    assert shots == [2.0, 2.0 + 1e-10]
+    miss, shots = fake_miss((1e-10, 1.0, 1.0), (1e-8, 2.0, 1.0))
+    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (2.0, 1e-10, 1.0)
+    # 2 + 1e-17 == 2: no second shot at the same lambda
+    miss, shots = fake_miss((1e-17, 1.0, 1.0))
+    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (2.0, 1e-17, 1.0)
+    assert shots == [2.0]
+
+
+def test_newton_refinement_stalls_after_100_iterations():
+    # every step points out of the bracket, and none is ever small
+    miss, shots = fake_miss(*[(1.0, -1.0, 1e-3)] * 100)
+    with pytest.raises(NumericalError, match="#0 refinement stalled"):
+        sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10)
+    assert len(shots) == 100
+    # a real input: in the barrier 5000 x^2 the growing solution swamps the
+    # shot, so y(1) and y'(1) change sign together between two neighbouring
+    # doubles near sqrt(5000); the bracket closes on them while every Newton
+    # step stays above 0.5
+    with pytest.raises(NumericalError, match="#0 refinement stalled on \\[70.71067811"):
+        neumann_eigenvalues(PolyPotential((0.0, 0.0, 5000.0)), 1)
