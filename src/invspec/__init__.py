@@ -1,7 +1,7 @@
 """Forward and inverse spectral toolkit.
 
 Forward side: Neumann eigenvalues of -y'' + q y = lam y on [0,1] by
-shooting, with phase-counting brackets and a spectral rigidity witness.
+shooting, with brackets from the zeros of y and a spectral rigidity witness.
 Inverse side: zeros of the boundary-polynomial characteristic determinant
 located by the argument principle, and recovery of the polynomial
 coefficients from finitely many of those zeros through a structured

@@ -34,6 +34,7 @@ from .core import (
     RESIDUAL_TOL,
     Polynomial,
     Spectrum,
+    as_count,
     as_finite_float,
     horner,
     poly_eval,
@@ -413,10 +414,9 @@ def find_det_eigenvalues(
     -im first, and a zero within the cluster radius of the axis with no
     mirror image is made exactly real.
     """
-    if max_roots < 1:
-        raise InputError(f"max_roots must be >= 1, got {max_roots}")
-    if nearest is not None and nearest < 1:
-        raise InputError(f"nearest must be >= 1, got {nearest}")
+    max_roots = as_count(max_roots, "max_roots")
+    if nearest is not None:
+        nearest = as_count(nearest, "nearest")
     eff = box
     last_err: BoundaryZeroError | None = None
     for attempt, shift in enumerate(_CUT_SHIFTS):

@@ -31,6 +31,7 @@ from .reconstruct import reconstruct_coeffs, select_reconstruction_nodes
 from .sl_forward import EIG_TOL, neumann_eigenvalues
 from .workbench import (
     DEFAULT_BOX,
+    MAX_ROOTS,
     ExperimentConfig,
     compare_neumann,
     roundtrip,
@@ -204,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det-roots", help="determinant zeros inside a box")
     p.add_argument("--coeffs", required=True, help="c0,c1,...")
     p.add_argument("--box", required=True, help="re0,re1,im0,im1")
-    p.add_argument("--max-roots", type=int, default=80, dest="max_roots")
+    p.add_argument("--max-roots", type=int, default=MAX_ROOTS, dest="max_roots")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_det_roots)
 

@@ -178,6 +178,15 @@ def as_positive_tol(value, what: str) -> float:
     return x
 
 
+def as_count(value, what: str, least: int = 1) -> int:
+    """An integer >= least; 2.5 is an InputError, not a truncation or a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     """True iff the spectra pair off in order within ``tol`` with equal multiplicities."""
     tol = as_positive_tol(tol, "tol")

@@ -42,7 +42,7 @@ class IntegrationError(NumericalError):
 
 
 class BracketingError(NumericalError):
-    """The phase count could not isolate an eigenvalue in its search window."""
+    """No shot in an eigenvalue's window counted past it, or one below the spectrum did."""
 
     def __init__(self, index: int, window: tuple[float, float]):
         self.index = index

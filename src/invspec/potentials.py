@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_finite_float, horner
+from .core import as_count, as_finite_float, horner
 from .errors import InputError
 
 __all__ = [
@@ -48,7 +48,7 @@ class Potential:
         return ()
 
     def total_variation(self) -> float:
-        """Integral of |q'| over [0,1]; used only as a loose sanity gate."""
+        """Integral of |q'| over [0,1]; sets each eigenvalue's search window and the sanity gate."""
         raise NotImplementedError
 
     def lower_bound(self) -> float:
@@ -148,12 +148,7 @@ class CosinePotential(Potential):
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", as_finite_float(self.amplitude, "amplitude"))
-        k = self.frequency
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise InputError(f"frequency must be an integer, got {k!r}")
-        if k < 0:
-            raise InputError(f"frequency must be >= 0, got {k}")
-        object.__setattr__(self, "frequency", int(k))
+        object.__setattr__(self, "frequency", as_count(self.frequency, "frequency", 0))
 
     def sample(self, xs):
         return self.amplitude * np.cos(TWO_PI * self.frequency * np.asarray(xs, dtype=float))

@@ -20,6 +20,7 @@ from .core import (
     Polynomial,
     RoundTripReport,
     Spectrum,
+    as_count,
     as_positive_tol,
     poly_max_abs_diff,
     spectra_match,
@@ -46,7 +47,7 @@ DEFAULT_BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
 _WIDEN_FACTOR = 4.0
 _MAX_WIDENINGS = 3
 _COEFF_BOUND = 2.0
-_MAX_ROOTS = 80
+MAX_ROOTS = 80
 # two determinant spectra match when paired roots lie within this distance
 _MATCH_TOL = 1e-6
 
@@ -59,8 +60,7 @@ class ExperimentConfig:
     trials: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
+        as_count(self.trials, "trials")
         lo, hi = self.degree_range
         if lo < 0 or hi < lo:
             raise InputError(f"bad degree range {self.degree_range}")
@@ -90,7 +90,7 @@ class CompareReport:
 def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int, nearest=False) -> Spectrum:
     box = cfg.search_box
     for _ in range(_MAX_WIDENINGS + 1):
-        roots = find_det_eigenvalues(prob, box, _MAX_ROOTS, nearest=needed if nearest else None)
+        roots = find_det_eigenvalues(prob, box, MAX_ROOTS, nearest=needed if nearest else None)
         if len(roots) >= needed:
             return roots
         box = box.widened(_WIDEN_FACTOR)

@@ -602,6 +602,8 @@ def test_a_double_zero_raises_boundary_zero_error():
         lambda: SearchBox(0.0, float("inf"), 0.0, 1.0),
         lambda: find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 0),
         lambda: find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 80, nearest=0),
+        lambda: find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 2.5),
+        lambda: find_det_eigenvalues(prob(1.0), DEFAULT_BOX, 80, nearest=1.5),
     ],
 )
 def test_input_checks(call):

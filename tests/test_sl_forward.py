@@ -50,6 +50,13 @@ def test_count_below_free_problem():
     assert eigenvalue_count_below(q, 1.0) == 1
     assert eigenvalue_count_below(q, PI2 + 0.1) == 2
     assert eigenvalue_count_below(q, -1.0) == 0
+    # up to mu = 1e6 the rotation cap sets every step, and the count holds
+    # only while each half step turns y through less than pi
+    for c in (0.0, -150.0, 150.0):
+        q = ConstantPotential(c)
+        for n in range(1, 321):
+            mid = 0.5 * (((n - 1) * math.pi) ** 2 + (n * math.pi) ** 2) + c
+            assert eigenvalue_count_below(q, mid) == n, (c, n)
 
 
 def test_count_below_monotone_sweep(rng):
@@ -115,6 +122,8 @@ def test_eigenvalue_simplicity(rng):
 def test_count_requires_positive():
     with pytest.raises(InputError):
         neumann_eigenvalues(ConstantPotential(0.0), 0)
+    with pytest.raises(InputError, match="count must be an integer"):
+        neumann_eigenvalues(ConstantPotential(0.0), 2.5)
     with pytest.raises(InputError):
         neumann_eigenvalues(ConstantPotential(0.0), 1, eig_tol=0.0)
 
@@ -128,21 +137,21 @@ SHOT_POTENTIALS = (
 
 
 def record_shots(monkeypatch):
-    """The lambdas of every shooting shot; phase shots are not recorded."""
+    """The lambdas of every shot."""
     shots = []
     integrate = sl_forward._integrate
 
-    def recording(qf, breaks, lam, loc_tol, track_phase):
-        if not track_phase:
-            shots.append(lam)
-        return integrate(qf, breaks, lam, loc_tol, track_phase)
+    def recording(qf, breaks, lam, loc_tol):
+        shots.append(lam)
+        return integrate(qf, breaks, lam, loc_tol)
 
     monkeypatch.setattr(sl_forward, "_integrate", recording)
     return shots
 
 
 def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
-    # y(1) for the residual floor comes out of the refinement, not a second shot
+    # y(1) for the residual floor comes out of the refinement, not a second
+    # shot, and the shot at the lower bound is not repeated
     shots = record_shots(monkeypatch)
     for q in SHOT_POTENTIALS:
         shots.clear()
@@ -151,7 +160,8 @@ def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
 
 
 def test_newton_takes_few_shots_per_eigenvalue(monkeypatch):
-    # safeguarded Newton takes about 3.5 shooting shots per eigenvalue here
+    # every shot counts: safeguarded Newton takes about 3.3 per eigenvalue
+    # here, the shot that checks the lower bound included
     shots = record_shots(monkeypatch)
     for q in SHOT_POTENTIALS:
         neumann_eigenvalues(q, 8)
@@ -168,7 +178,7 @@ def test_integral_of_y_squared_for_a_constant_potential():
     for lam in c + np.geomspace(0.5, 1e5, 60):
         omega = math.sqrt(lam - c)
         want = 0.5 + math.sin(2.0 * omega) / (4.0 * omega)
-        m = sl_forward._integrate(lambda x: c, (), lam, 1e-12, False)[3]
+        m = sl_forward._integrate(lambda x: c, (), lam, 1e-12)[3]
         assert abs(m - want) <= 0.25 * want, lam
 
 
@@ -242,8 +252,8 @@ def strong_potentials(rng):
 
 
 def test_strong_potentials_count_and_solve():
-    # below a strong potential's spectrum the phase must be scaled by
-    # sqrt(q - lam), as above it: a fixed scale there miscounted
+    # below a strong potential's spectrum a Pruefer phase of fixed scale
+    # miscounted; the zeros of y need no scale
     for i, q in enumerate(strong_potentials(np.random.default_rng(5))):
         oracle = fd_neumann_eigenvalues(q, 12)
         for mu in [oracle[0] - 5.0, *(0.5 * (oracle[:-1] + oracle[1:]))]:
@@ -251,7 +261,7 @@ def test_strong_potentials_count_and_solve():
         if i < 4:
             got = neumann_eigenvalues(q, 12).values
             assert max(abs(a - b) for a, b in zip(got, oracle)) <= 1e-6, q
-    # lam_0 = -1.749 here, and a fixed scale counted 2 eigenvalues below -6.7
+    # lam_0 = -1.749 here, and a phase of fixed scale counted 2 below -6.7
     assert eigenvalue_count_below(CosinePotential(82.28616787857973, 7), -6.7) == 0
 
 
@@ -268,6 +278,11 @@ def test_grid_nodes_closer_than_the_step_floor():
 def test_free_spectrum_verdict_needs_entries():
     with pytest.raises(InputError):
         free_spectrum_verdict(Spectrum(()), 1e-6)
+    # an infinite tol would pass any spectrum, and a NaN or negative one none
+    spec = Spectrum(((5.0, 1), (7.0, 1)))
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InputError, match="tol"):
+            free_spectrum_verdict(spec, tol)
 
 
 # -- every guard that stays fires ------------------------------------------
@@ -284,7 +299,7 @@ def test_far_below_the_spectrum_caps_growth_and_renormalizes(monkeypatch):
         return step(qf, lam, x, h, y, p)
 
     monkeypatch.setattr(sl_forward, "_step", spy)
-    y, p, _, m = sl_forward._integrate(lambda x: 0.0, (), -1e8, 1e-12, True)
+    p, y, _, m = sl_forward._integrate(lambda x: 0.0, (), -1e8, 1e-12)
     assert math.isfinite(y) and math.isfinite(p)
     assert math.isfinite(m) and m > 0.0
     assert max(steps) <= 80.0 / 1e4
@@ -294,7 +309,7 @@ def test_far_below_the_spectrum_caps_growth_and_renormalizes(monkeypatch):
 def test_step_underflow():
     q = CosinePotential(1.0, 1)
     with pytest.raises(IntegrationError, match="underflow"):
-        sl_forward._integrate(q.evaluator(), q.breakpoints(), 3.0, 0.0, False)
+        sl_forward._integrate(q.evaluator(), q.breakpoints(), 3.0, 0.0)
 
 
 class LyingLowerBound(ConstantPotential):
@@ -307,23 +322,29 @@ class UnderReportedVariation(CosinePotential):
         return 0.0
 
 
-def test_a_lying_lower_bound_is_widened():
-    spec = neumann_eigenvalues(LyingLowerBound(0.0), 3)
-    assert max(abs(lam - (n * math.pi) ** 2) for n, lam in enumerate(spec.values)) <= 1e-8
-    # lam_0 = -1e5 lies below all four starts, -1, -21, -241 and -2651
+def test_a_lying_lower_bound_raises():
+    # the count at lower_bound - 1 must be 0: here it is 1 (lam_0 = 0 < 4),
+    # and 1 again for lam_0 = -1e5 below the start -1
+    with pytest.raises(BracketingError, match="#0"):
+        neumann_eigenvalues(LyingLowerBound(0.0), 1)
     with pytest.raises(BracketingError, match="#0"):
         neumann_eigenvalues(LyingLowerBound(-1e5), 1)
 
 
-def test_count_bisection_stalls_on_a_window_that_misses():
-    # a window of half-width 2 around mean q = 0 misses lam_0 near -190
-    with pytest.raises(BracketingError, match="#0"):
-        neumann_eigenvalues(UnderReportedVariation(200.0, 1), 1)
+def test_a_window_that_misses_raises_after_the_eigenvalues_below_it():
+    # the bracket for lam_k runs from lo, so a window of half-width 2 around
+    # (k pi)^2 + mean q = (k pi)^2 still holds lam_0 and lam_1 below it; it
+    # misses lam_2 near 75.7, above its top 4 pi^2 + 2
+    q = UnderReportedVariation(200.0, 1)
+    got = neumann_eigenvalues(q, 2).values
+    assert max(abs(a - b) for a, b in zip(got, fd_neumann_eigenvalues(q, 2))) <= 1e-6
+    with pytest.raises(BracketingError, match="#2"):
+        neumann_eigenvalues(q, 3)
 
 
 def test_residual_floor_and_predecessor_checks(monkeypatch):
     q = ConstantPotential(0.0)
-    monkeypatch.setattr(sl_forward, "_newton_refine", lambda miss, k, a, *rest: (a, 1.0, 1.0))
+    monkeypatch.setattr(sl_forward, "_newton_refine", lambda shoot, k, a, *rest: (a, 1.0, 1.0))
     with pytest.raises(NumericalError, match="residual"):
         neumann_eigenvalues(q, 2)
     monkeypatch.setattr(sl_forward, "_newton_refine", lambda *args: (-1.0, 0.0, 1.0))
@@ -339,49 +360,78 @@ def test_asymptotic_sanity_gate_fires(monkeypatch):
         neumann_eigenvalues(ConstantPotential(0.0), 6)
 
 
-def fake_miss(*results):
-    """A miss that returns the given (y'(1), y(1), M) in turn and records each lambda."""
+def fake_shoot(*results):
+    """A shoot that returns the given (y'(1), y(1), count, M) in turn and records each lambda."""
     shots = []
     it = iter(results)
 
-    def miss(lam):
+    def shoot(lam):
         shots.append(lam)
         return next(it)
 
-    return miss, shots
+    return shoot, shots
 
 
 def test_newton_step_that_leaves_the_bracket_bisects():
-    # step 10 from the midpoint 2 leaves [0, 4]; y'(1) > 0 puts 2 below lam_0,
-    # so the bracket becomes [2, 4] and the next shot is at 3, where y'(1) = 0
-    miss, shots = fake_miss((1.0, 1.0, 0.1), (0.0, 1.0, 1.0))
-    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (3.0, 0.0, 1.0)
-    assert shots == [2.0, 3.0]
-    # for lam_1 the same sign puts 2 above it: the bracket becomes [0, 2]
-    miss, shots = fake_miss((1.0, -1.0, 0.1), (0.0, 1.0, 1.0))
-    assert sl_forward._newton_refine(miss, 1, 0.0, 4.0, 1e-10)[0] == 1.0
+    # the count moves one end of the bracket.  For lam_1 on [0, 4] from 2,
+    # count 1 puts 2 below lam_1, and the step 100 leaves [2, 4], so the
+    # next shot is at 3; count 2 puts 3 above it, and the step -100 leaves
+    # [2, 3], so the next is at 2.5, where y'(1) = 0
+    shoot, shots = fake_shoot((1.0, 1.0, 1, 0.01), (1.0, -1.0, 2, 0.01), (0.0, 1.0, 1, 1.0))
+    assert sl_forward._newton_refine(shoot, 1, 0.0, 4.0, 2.0, 1e-10) == (2.5, 0.0, 1.0)
+    assert shots == [2.0, 3.0, 2.5]
+    # a start outside the bracket begins at its midpoint
+    shoot, shots = fake_shoot((0.0, 1.0, 1, 1.0))
+    assert sl_forward._newton_refine(shoot, 1, 0.0, 4.0, -5.0, 1e-10)[0] == 2.0
+
+
+def test_a_small_step_stops_only_on_a_count_of_k_or_k_plus_1():
+    # both small steps land in the bracket, but a shot that counted 3 is
+    # near lam_2 or above, and one that counted 0 is below lam_0: neither
+    # stops the search for lam_1.  The second step lands on b = 2, which
+    # bisects [2 - e, 2]
+    e = 2.0**-40
+    shoot, shots = fake_shoot((-e, 1.0, 3, 1.0), (e, 1.0, 0, 1.0), (0.0, 1.0, 1, 1.0))
+    assert sl_forward._newton_refine(shoot, 1, 0.0, 4.0, 2.0, 1e-10)[0] == 2.0 - e / 2
+    assert shots == [2.0, 2.0 - e, 2.0 - e / 2]
+
+
+def test_a_small_step_out_of_the_bracket_bisects():
+    # count 1 puts 2 above lam_0, so the small step up to 2 + 1e-12 leads to
+    # lam_1, not lam_0: the search bisects [0, 2] instead of stopping
+    shoot, shots = fake_shoot((1e-12, 1.0, 1, 1.0), (0.0, 1.0, 0, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10)[0] == 1.0
     assert shots == [2.0, 1.0]
+
+
+def test_a_window_top_that_counts_too_few_raises():
+    # no shot ever counts past k, so lam_0 may lie above the window's top
+    shoot, shots = fake_shoot(*[(1.0, 1.0, 0, 1.0)] * 100)
+    with pytest.raises(BracketingError, match="#0"):
+        sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10)
+    assert len(shots) == 100
 
 
 def test_newton_stop_takes_one_last_shot_unless_the_step_vanishes():
     # a step below the stop width ends the search; its end is shot once and
     # kept when its |y'(1)| is smaller
-    miss, shots = fake_miss((1e-10, 1.0, 1.0), (1e-20, 2.0, 1.0))
-    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (2.0 + 1e-10, 1e-20, 2.0)
+    shoot, shots = fake_shoot((1e-10, 1.0, 0, 1.0), (1e-20, 2.0, 0, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10) == (2.0 + 1e-10, 1e-20, 2.0)
     assert shots == [2.0, 2.0 + 1e-10]
-    miss, shots = fake_miss((1e-10, 1.0, 1.0), (1e-8, 2.0, 1.0))
-    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (2.0, 1e-10, 1.0)
+    shoot, shots = fake_shoot((1e-10, 1.0, 0, 1.0), (1e-8, 2.0, 0, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10) == (2.0, 1e-10, 1.0)
     # 2 + 1e-17 == 2: no second shot at the same lambda
-    miss, shots = fake_miss((1e-17, 1.0, 1.0))
-    assert sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10) == (2.0, 1e-17, 1.0)
+    shoot, shots = fake_shoot((1e-17, 1.0, 0, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10) == (2.0, 1e-17, 1.0)
     assert shots == [2.0]
 
 
 def test_newton_refinement_stalls_after_100_iterations():
-    # every step points out of the bracket, and none is ever small
-    miss, shots = fake_miss(*[(1.0, -1.0, 1e-3)] * 100)
+    # every shot counts past k, every step points out of the bracket, and
+    # none is ever small
+    shoot, shots = fake_shoot(*[(1.0, -1.0, 1, 1e-3)] * 100)
     with pytest.raises(NumericalError, match="#0 refinement stalled"):
-        sl_forward._newton_refine(miss, 0, 0.0, 4.0, 1e-10)
+        sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10)
     assert len(shots) == 100
     # a real input: in the barrier 5000 x^2 the growing solution swamps the
     # shot, so y(1) and y'(1) change sign together between two neighbouring

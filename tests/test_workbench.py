@@ -188,7 +188,7 @@ def test_only_roundtrip_stops_early(monkeypatch):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"trials": 0}, {"degree_range": (-1, 2)}, {"degree_range": (3, 2)}],
+    [{"trials": 0}, {"degree_range": (-1, 2)}, {"degree_range": (3, 2)}, {"trials": 2.5}],
 )
 def test_experiment_config_checks(kwargs):
     with pytest.raises(InputError):
