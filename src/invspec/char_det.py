@@ -106,12 +106,6 @@ class SearchBox:
             self.re_min - delta, self.re_max + delta, self.im_min - delta, self.im_max + delta
         )
 
-    def widened(self, factor: float) -> "SearchBox":
-        c = self.center
-        hw = 0.5 * self.width * factor
-        hh = 0.5 * self.height * factor
-        return SearchBox(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
-
     def split(self, fr: float, fi: float):
         """Four children tiling the box, cut at the given interior fractions."""
         rm = self.re_min + fr * self.width

@@ -77,7 +77,7 @@ class TooFewRootsError(NumericalError):
         self.found = tuple(found)
         super().__init__(
             f"needed {needed} determinant roots but found {len(self.found)} "
-            "after widening the search box"
+            "in the search box"
         )
 
 

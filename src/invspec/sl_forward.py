@@ -1,18 +1,19 @@
 """Forward eigenvalue solver for Neumann problems -y'' + q(x) y = lam y on [0,1].
 
 Shooting from y(0)=1, y'(0)=0: eigenvalues are the zeros of y'(1) in lam.
-The propagator is an adaptive fourth-order Magnus stepper (two-point Gauss
-nodes) with step-doubling local error control.  It is exact for constant
-coefficients, but the rotation cap on its step makes the steps per shot
-grow like sqrt(lam) once lam is large.  Every shot also counts the
-eigenvalues below its lam from the zeros of y (Sturm's oscillation
-theorem), and one safeguarded Newton loop per eigenvalue uses that count to
-keep a bracket, with the slope d y'(1) / d lam = -integral(y^2) / y(1) that
-the Lagrange identity gives at an eigenvalue.
+The propagator is a fourth-order Magnus step (two-point Gauss nodes) with
+an exact exponential, on a mesh built once per potential by step doubling
+at the bottom of the spectrum and then frozen, so a shot costs the same at
+every lam.  Every shot also counts the eigenvalues below its lam from the
+zeros of y (Sturm's oscillation theorem), and one safeguarded Newton loop
+per eigenvalue uses that count to keep a bracket, with the slope
+d y'(1) / d lam = -integral(y^2) / y(1) that the Lagrange identity gives at
+an eigenvalue.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,128 +34,137 @@ __all__ = [
 _GAUSS_OFF = math.sqrt(3.0) / 6.0
 _COMM_COEF = math.sqrt(3.0) / 12.0
 _EPS = math.ulp(1.0)
-_RENORM_LIMIT = 1e6
-# relative Newton step that stops eigenvalue refinement; shots run at EIG_TOL / 100
+# relative Newton step that stops eigenvalue refinement
 EIG_TOL = 1e-10
+# Each mesh cell's local error stays below eig_tol / 1000: relative
+# eigenvalue errors of up to about 1000 times the cell tolerance were
+# measured (lam_299 of a grid potential).  Below 1e-15 rounding swamps the
+# step-doubling estimate.
+_MESH_TOL_FLOOR = 1e-15
 
 
-def _step(qf, lam, x, h, y, p):
-    """One fourth-order Magnus step for y'' = (q(x) - lam) y.
+def _cell(qf, x, h):
+    """(h, mean q, commutator term) of the Magnus cell [x, x + h], from q at its two Gauss nodes."""
+    q1 = qf(x + h * (0.5 - _GAUSS_OFF))
+    q2 = qf(x + h * (0.5 + _GAUSS_OFF))
+    return h, 0.5 * (q1 + q2), _COMM_COEF * h * h * (q1 - q2)
 
-    Returns the new (y, y') and the mean of q - lam over the Gauss nodes.
-    The 2x2 propagator is exp of a traceless matrix, evaluated in closed
-    form; exact whenever q is constant across the step.
+
+def _propagate(cell, lam, y, p):
+    """Carry (y, y') across a cell of y'' = (q - lam) y; returns (y, y', zeros, integral of y^2).
+
+    The step is exp(W) with W = [[d, h], [h (mean q - lam), -d]], in closed
+    form since W^2 = s2 I.  Across the cell y follows the first entry of
+    exp(t W) (y, y'), t from 0 to 1, so y_tt = s2 y: it turns through
+    sqrt(-s2) and has floor(sqrt(-s2) / pi) zeros plus 0 or 1, whichever
+    matches the parity of its sign change (y = 0 counts as positive), and
+    the integral of y^2 has a closed form.
     """
-    w1 = qf(x + h * (0.5 - _GAUSS_OFF)) - lam
-    w2 = qf(x + h * (0.5 + _GAUSS_OFF)) - lam
-    wm = 0.5 * (w1 + w2)
-    d = _COMM_COEF * h * h * (w1 - w2)
-    c = h * wm
+    h, qm, d = cell
+    c = h * (qm - lam)
     s2 = d * d + h * c
-    if s2 > 1e-12:
-        s = math.sqrt(s2)
-        ch = math.cosh(s)
-        sh = math.sinh(s) / s
-    elif s2 < -1e-12:
+    zeros = 0
+    ch = sh = 1.0
+    if s2 < 0.0:
         s = math.sqrt(-s2)
         ch = math.cos(s)
         sh = math.sin(s) / s
-    else:
-        ch = 1.0 + s2 * (0.5 + s2 / 24.0)
-        sh = 1.0 + s2 * (1.0 / 6.0 + s2 / 120.0)
-    yn = (ch + sh * d) * y + sh * h * p
-    pn = sh * c * y + (ch - sh * d) * p
-    return yn, pn, wm
+        zeros = int(s / math.pi)
+    elif s2 > 0.0:
+        s = math.sqrt(s2)
+        ch = math.cosh(s)
+        sh = math.sinh(s) / s
+    b = d * y + h * p  # dy/dt at t = 0
+    yn = ch * y + sh * b
+    zeros += (zeros & 1) != ((y < 0.0) != (yn < 0.0))
+    # integral of y^2 over t: y^2 (1 + e) / 2 + y b sh^2 + b^2 f / 2, e = ch sh, f = (e - 1) / s2
+    e = ch * sh
+    f = (e - 1.0) / s2 if abs(s2) > 1e-2 else (
+        2 / 3 + s2 * (2 / 15 + s2 * (4 / 315 + s2 * (2 / 2835 + s2 * 4 / 155925))))
+    m = h * (0.5 * y * y * (1.0 + e) + y * b * sh * sh + 0.5 * b * b * f)
+    return yn, sh * c * y + (ch - sh * d) * p, zeros, m
 
 
-def _integrate(qf, breaks, lam, loc_tol):
-    """Propagate (y, y') from x=0 to x=1 with y(0)=1, y'(0)=0.
+def _mesh(q: Potential, lam: float, eig_tol: float) -> tuple:
+    """Cells covering [0, 1] that land on q's breakpoints, built by step doubling at lam.
 
-    Local error per step is kept below loc_tol times the state scale by
-    comparing one full Magnus step against two half steps.  The state is
-    renormalized whenever its max-norm exceeds 1e6; uniform rescaling
-    preserves both the zero set and the signs of y and y'.
-
-    Returns (y'(1), y(1), count, M).  M is the integral of y^2 over [0, 1],
-    by Simpson's rule on each accepted step and in the scale of the returned
-    y.  count is the number of eigenvalues strictly below lam, by Sturm's
-    oscillation theorem: the zeros of y on (0, 1), plus one when y(1) and
-    y'(1) have opposite signs.  The rotation cap keeps each half step's
-    turn of y below pi, so every zero changes the sign of y at a half-step
-    node; y = 0 counts as positive, in both terms, which keeps the count
-    exact when y(1) = 0.
+    A cell is kept when one Magnus step across it and two across its halves
+    agree to the mesh tolerance times the state's scale.  The relative
+    eigenvalue error of Magnus steps with an exact exponential does not
+    grow with lam (Iserles, BIT 42, 2002), so a mesh built at the bottom of
+    the spectrum serves every shot above it.  The growth cap
+    80/sqrt(q - lam) keeps cosh finite.
     """
-    x = 0.0
-    y = 1.0
-    p = 0.0
-    m = 0.0
-    zeros = 0
+    tol = max(eig_tol / 1000.0, _MESH_TOL_FLOOR)
+    qf = q.evaluator()
+    breaks = q.breakpoints()
+    cells = []
+    x, y, p = 0.0, 1.0, 0.0
     bi = 0
-    nb = len(breaks)
-    w_prev = qf(0.0) - lam
+    w = qf(0.0) - lam
     h = 0.1
-
     while x < 1.0 - 1e-14:
-        # rotation / growth caps keep per-step rotation and cosh range safe
-        if w_prev < 0.0:
-            hcap = 3.0 / math.sqrt(-w_prev)
-            if h > hcap:
-                h = hcap
-        elif w_prev > 0.0:
-            hcap = 80.0 / math.sqrt(w_prev)
-            if h > hcap:
-                h = hcap
-        if h > 0.5:
-            h = 0.5
-        if x + h > 1.0:
-            h = 1.0 - x
+        if w > 0.0 and h > 80.0 / math.sqrt(w):
+            h = 80.0 / math.sqrt(w)
+        h = min(h, 0.5, 1.0 - x)
         # a breakpoint within 1e-14 ahead counts as landed: a step to it would underflow
-        while bi < nb and breaks[bi] <= x + 1e-14:
+        while bi < len(breaks) and breaks[bi] <= x + 1e-14:
             bi += 1
-        if bi < nb and x + h > breaks[bi] - 1e-15:
+        if bi < len(breaks) and x + h > breaks[bi] - 1e-15:
             h = breaks[bi] - x
         if h < 1e-14:
             raise IntegrationError(lam, x)
 
-        y1, p1, _ = _step(qf, lam, x, h, y, p)
-        ym, pm, _ = _step(qf, lam, x, 0.5 * h, y, p)
-        y2, p2, wmb = _step(qf, lam, x + 0.5 * h, 0.5 * h, ym, pm)
+        full = _cell(qf, x, h)
+        y1, p1, _, _ = _propagate(full, lam, y, p)
+        ym, pm, _, _ = _propagate(_cell(qf, x, 0.5 * h), lam, y, p)
+        y2, p2, _, _ = _propagate(_cell(qf, x + 0.5 * h, 0.5 * h), lam, ym, pm)
 
         scale = max(1.0, abs(y), abs(p), abs(y2), abs(p2))
-        err = max(abs(y1 - y2), abs(p1 - p2)) / 15.0
-        tol_step = loc_tol * scale
-        if err <= tol_step:
+        err = max(abs(y1 - y2), abs(p1 - p2))
+        if err <= tol * scale:
+            cells.append(full)
             x += h
-            m += h * (y * y + 4.0 * ym * ym + y2 * y2) / 6.0
-            zeros += ((y < 0.0) != (ym < 0.0)) + ((ym < 0.0) != (y2 < 0.0))
-            y, p = y2, p2
-            w_prev = wmb
-            n = abs(y) if abs(y) > abs(p) else abs(p)
-            if n > _RENORM_LIMIT:
-                y /= n
-                p /= n
-                m /= n * n
-            if err == 0.0:
-                h *= 5.0
-            else:
-                fac = 0.9 * (tol_step / err) ** 0.2
-                h *= 5.0 if fac > 5.0 else fac
-        else:
-            fac = 0.9 * (tol_step / err) ** 0.2
-            h *= 0.1 if fac < 0.1 else fac
+            n = max(abs(y2), abs(p2))
+            y, p = y2 / n, p2 / n
+            w = full[1] - lam
+        h *= 5.0 if err == 0.0 else min(max(0.9 * (tol * scale / err) ** 0.2, 0.1), 5.0)
+    return tuple(cells)
+
+
+def _shoot(cells, lam: float):
+    """Propagate (y, y') from y(0)=1, y'(0)=0 across the cells to x=1.
+
+    Returns (y'(1), y(1), count, M).  M is the integral of y^2 over [0, 1]
+    in the scale of the returned y, which is renormalized after every cell.
+    count is the number of eigenvalues strictly below lam, by Sturm's
+    oscillation theorem: the zeros of y on (0, 1), plus one when y(1) and
+    y'(1) have opposite signs; y = 0 counts as positive in both terms, which
+    keeps the count exact when y(1) = 0.
+    """
+    y, p, m, zeros = 1.0, 0.0, 0.0, 0
+    for cell in cells:
+        y, p, z, mc = _propagate(cell, lam, y, p)
+        n = max(abs(y), abs(p))
+        y, p = y / n, p / n
+        m = (m + mc) / (n * n)
+        zeros += z
     return p, y, zeros + (p != 0.0 and (y < 0.0) != (p < 0.0)), m
+
+
+def _one_shot(q: Potential, lam: float):
+    """A shot on neumann_eigenvalues' mesh, or on one built at lam when lam lies below it."""
+    return _shoot(_mesh(q, min(lam, q.lower_bound() - 1.0), EIG_TOL), lam)
 
 
 def shoot_miss(q: Potential, lam: float) -> float:
     """Renormalized y'(1) of the shot solution; zero exactly at Neumann eigenvalues."""
-    lam = as_finite_float(lam, "lambda")
-    return _integrate(q.evaluator(), q.breakpoints(), lam, EIG_TOL / 100.0)[0]
+    return _one_shot(q, as_finite_float(lam, "lambda"))[0]
 
 
 def eigenvalue_count_below(q: Potential, mu: float) -> int:
     """Number of Neumann eigenvalues strictly below mu, by Sturm's count of the zeros of y."""
-    mu = as_finite_float(mu, "mu")
-    return _integrate(q.evaluator(), q.breakpoints(), mu, EIG_TOL / 100.0)[2]
+    return _one_shot(q, as_finite_float(mu, "mu"))[2]
 
 
 def mean_value(q: Potential) -> float:
@@ -180,7 +190,8 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
     bracket, so it cannot settle on a neighbouring eigenvalue; one last
     shot at the step's end is kept if its |y'(1)| is smaller.  Returns
     (lam, y'(1), y(1)); BracketingError if no shot counted past k, because
-    then lam_k may lie at or above b.
+    then lam_k may lie at or above b, and at once when the bracket has shrunk
+    below the stop width onto b that way.
     """
     top = b
     for _ in range(100):
@@ -199,6 +210,8 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
                 return lam, f, y
             f2, y2, _, _ = shoot(lam + step)
             return (lam + step, f2, y2) if abs(f2) < abs(f) else (lam, f, y)
+        if b == top and b - a <= width:
+            break
         lam += step
     if b == top:
         raise BracketingError(k, (a, b))
@@ -217,16 +230,10 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
     """
     eig_tol = as_positive_tol(eig_tol, "eig_tol")
     count = as_count(count, "count")
-    qf = q.evaluator()
-    breaks = q.breakpoints()
-    loc_tol = eig_tol / 100.0
-
-    def shoot(lam: float):
-        return _integrate(qf, breaks, lam, loc_tol)
-
     qbar = mean_value(q)
     margin = max(2.0, q.total_variation() + 1.0)
     lo = q.lower_bound() - 1.0
+    shoot = functools.partial(_shoot, _mesh(q, lo, eig_tol))
     if shoot(lo)[2] != 0:
         raise BracketingError(0, (lo, lo))
 

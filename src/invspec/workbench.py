@@ -43,9 +43,6 @@ __all__ = [
 
 DEFAULT_BOX = SearchBox(-8.0, 8.0, -30.0, 30.0)
 
-# box widening is capped: factor 4 per retry, at most 3 retries
-_WIDEN_FACTOR = 4.0
-_MAX_WIDENINGS = 3
 _COEFF_BOUND = 2.0
 MAX_ROOTS = 80
 # two determinant spectra match when paired roots lie within this distance
@@ -87,14 +84,13 @@ class CompareReport:
     zero_potential_flag: bool
 
 
-def _roots_with_widening(prob, cfg: ExperimentConfig, needed: int, nearest=False) -> Spectrum:
-    box = cfg.search_box
-    for _ in range(_MAX_WIDENINGS + 1):
-        roots = find_det_eigenvalues(prob, box, MAX_ROOTS, nearest=needed if nearest else None)
-        if len(roots) >= needed:
-            return roots
-        box = box.widened(_WIDEN_FACTOR)
-    raise TooFewRootsError(needed, roots.values)
+def _roots(prob, cfg: ExperimentConfig, needed: int, nearest=False) -> Spectrum:
+    """The roots in the configured box; TooFewRootsError when it holds fewer than needed."""
+    nearest = needed if nearest else None
+    roots = find_det_eigenvalues(prob, cfg.search_box, MAX_ROOTS, nearest=nearest)
+    if len(roots) < needed:
+        raise TooFewRootsError(needed, roots.values)
+    return roots
 
 
 def _recover(a: Polynomial, roots: Spectrum, start: float):
@@ -120,7 +116,7 @@ def roundtrip(a: Polynomial, cfg: ExperimentConfig) -> RoundTripReport:
         )
     start = time.perf_counter()
     # the s+1 nodes are the smallest-modulus roots, so the search stops once they are certified
-    roots = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1, nearest=True)
+    roots = _roots(BoundaryPolynomialProblem(a), cfg, a.degree + 1, nearest=True)
     return _recover(a, roots, start)
 
 
@@ -159,8 +155,8 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
         )
     start = time.perf_counter()
     # spectra_match compares whole spectra, so both searches cover the whole box
-    roots_a = _roots_with_widening(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
-    roots_b = _roots_with_widening(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
+    roots_a = _roots(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
+    roots_b = _roots(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
     matched = spectra_match(roots_a, roots_b, _MATCH_TOL)
     rep_a = _recover(a, roots_a, start)
     rep_b = _recover(a_tilde, roots_b, start)

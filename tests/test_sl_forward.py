@@ -50,8 +50,8 @@ def test_count_below_free_problem():
     assert eigenvalue_count_below(q, 1.0) == 1
     assert eigenvalue_count_below(q, PI2 + 0.1) == 2
     assert eigenvalue_count_below(q, -1.0) == 0
-    # up to mu = 1e6 the rotation cap sets every step, and the count holds
-    # only while each half step turns y through less than pi
+    # at mu = 1e6 a cell of length 0.5 turns y through about 160 pi, and its
+    # count of whole turns must still add up exactly
     for c in (0.0, -150.0, 150.0):
         q = ConstantPotential(c)
         for n in range(1, 321):
@@ -139,14 +139,47 @@ SHOT_POTENTIALS = (
 def record_shots(monkeypatch):
     """The lambdas of every shot."""
     shots = []
-    integrate = sl_forward._integrate
+    shoot = sl_forward._shoot
 
-    def recording(qf, breaks, lam, loc_tol):
+    def recording(cells, lam):
         shots.append(lam)
-        return integrate(qf, breaks, lam, loc_tol)
+        return shoot(cells, lam)
 
-    monkeypatch.setattr(sl_forward, "_integrate", recording)
+    monkeypatch.setattr(sl_forward, "_shoot", recording)
     return shots
+
+
+def test_shot_work_does_not_grow_with_lambda(monkeypatch):
+    # the mesh depends on q alone, so a shot at 1e8 makes as many Magnus
+    # steps as one at 1e2, mesh building included; its count of whole turns
+    # per cell still puts mid-gap points between the right eigenvalues
+    steps = []
+    propagate = sl_forward._propagate
+
+    def counted(*args):
+        steps.append(1)
+        return propagate(*args)
+
+    monkeypatch.setattr(sl_forward, "_propagate", counted)
+    for q in SHOT_POTENTIALS:
+        work = []
+        for lam in (1e2, 1e4, 1e6, 1e8):
+            steps.clear()
+            n = round(math.sqrt(lam) / math.pi)
+            mid = ((n - 0.5) * math.pi) ** 2 + mean_value(q)
+            assert eigenvalue_count_below(q, mid) == n, (q, lam)
+            work.append(len(steps))
+        assert len(set(work)) == 1, (q, work)
+
+
+def test_tight_tolerances_return():
+    # eig_tol / 1000 is below what step doubling resolves, so the mesh stops
+    # at its floor instead of raising IntegrationError
+    for q in SHOT_POTENTIALS[1:]:
+        base = neumann_eigenvalues(q, 10).values
+        for tol in (1e-12, 1e-13, 1e-14):
+            got = neumann_eigenvalues(q, 10, tol).values
+            assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, base)) <= 1e-10
 
 
 def test_no_shooting_shot_repeats_a_lambda(monkeypatch):
@@ -169,17 +202,23 @@ def test_newton_takes_few_shots_per_eigenvalue(monkeypatch):
 
 
 def test_integral_of_y_squared_for_a_constant_potential():
-    # y = cos(w x) with w = sqrt(lam - c).  Simpson's rule is 0.1-2.9% off at
-    # lam - c = 10, 1e2, 1e3 and 1e4, but up to 22% near lam - c = 400, where
-    # each step turns y^2 through up to 6 rad.  Newton needs only the slope's
-    # sign, which positive weights keep, and its rough size: an error e in M
-    # makes each step near lam_k shrink the error by a factor e
+    # y = cos(w x) with w = sqrt(lam - c), or cosh(w x) with w = sqrt(c - lam).
+    # The shot returns M in the scale of its y(1), so M / y(1)^2 is compared
+    # with the exact integral over cos(w)^2 or cosh(w)^2; near lam = c each
+    # cell takes M from its series branch
     c = 3.0
-    for lam in c + np.geomspace(0.5, 1e5, 60):
-        omega = math.sqrt(lam - c)
-        want = 0.5 + math.sin(2.0 * omega) / (4.0 * omega)
-        m = sl_forward._integrate(lambda x: c, (), lam, 1e-12)[3]
-        assert abs(m - want) <= 0.25 * want, lam
+    q = ConstantPotential(c)
+    gaps = np.geomspace(1e-3, 1e5, 40)
+    for lam in c + np.concatenate([-gaps, [0.0], gaps]):
+        p, y, _, m = sl_forward._one_shot(q, lam)
+        w = math.sqrt(abs(lam - c))
+        if lam > c:
+            want = (0.5 + math.sin(2.0 * w) / (4.0 * w)) / math.cos(w) ** 2
+        elif lam < c:
+            want = 0.5 / math.cosh(w) ** 2 + math.tanh(w) / (2.0 * w)
+        else:
+            want = 1.0
+        assert abs(m / y**2 - want) <= 1e-9 * want, lam
 
 
 def test_neumann_spectrum_validates_monotone():
@@ -288,28 +327,25 @@ def test_free_spectrum_verdict_needs_entries():
 # -- every guard that stays fires ------------------------------------------
 
 
-def test_far_below_the_spectrum_caps_growth_and_renormalizes(monkeypatch):
-    # q - lam = 1e8: the growth cap 80/sqrt(q - lam) sets every step, and y,
-    # which grows like e^(1e4) across [0, 1], stays finite by renormalization
-    steps = []
-    step = sl_forward._step
-
-    def spy(qf, lam, x, h, y, p):
-        steps.append(h)
-        return step(qf, lam, x, h, y, p)
-
-    monkeypatch.setattr(sl_forward, "_step", spy)
-    p, y, _, m = sl_forward._integrate(lambda x: 0.0, (), -1e8, 1e-12)
+def test_far_below_the_spectrum_caps_growth_and_renormalizes():
+    # q - lam = 1e8: the growth cap 80/sqrt(q - lam) sets every cell, and y,
+    # which grows like e^(1e4) across [0, 1], stays finite by renormalization.
+    # A shot below lower_bound - 1 builds its mesh at its own lam
+    q = ConstantPotential(0.0)
+    cells = sl_forward._mesh(q, -1e8, sl_forward.EIG_TOL)
+    assert max(h for h, _, _ in cells) <= 80.0 / 1e4
+    p, y, _, m = sl_forward._shoot(cells, -1e8)
     assert math.isfinite(y) and math.isfinite(p)
     assert math.isfinite(m) and m > 0.0
-    assert max(steps) <= 80.0 / 1e4
-    assert eigenvalue_count_below(ConstantPotential(0.0), -1e8) == 0
+    assert eigenvalue_count_below(q, -1e8) == 0
 
 
-def test_step_underflow():
+def test_step_underflow(monkeypatch):
+    # with no floor under the mesh tolerance, a tolerance of 0 is never met
+    monkeypatch.setattr(sl_forward, "_MESH_TOL_FLOOR", 0.0)
     q = CosinePotential(1.0, 1)
     with pytest.raises(IntegrationError, match="underflow"):
-        sl_forward._integrate(q.evaluator(), q.breakpoints(), 3.0, 0.0)
+        sl_forward._mesh(q, 3.0, 0.0)
 
 
 class LyingLowerBound(ConstantPotential):
@@ -405,11 +441,22 @@ def test_a_small_step_out_of_the_bracket_bisects():
 
 
 def test_a_window_top_that_counts_too_few_raises():
-    # no shot ever counts past k, so lam_0 may lie above the window's top
+    # no shot ever counts past k, so lam_0 may lie above the window's top;
+    # the search gives up once the bracket under the top is below the stop
+    # width, about 33 halvings of [3, 4]
     shoot, shots = fake_shoot(*[(1.0, 1.0, 0, 1.0)] * 100)
     with pytest.raises(BracketingError, match="#0"):
         sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10)
+    assert len(shots) <= 40
+    # Newton steps that creep up by 1e-3 never narrow the bracket: all 100 shots
+    shoot, shots = fake_shoot(*[(1e-3, 1.0, 0, 1.0)] * 100)
+    with pytest.raises(BracketingError, match="#0"):
+        sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10)
     assert len(shots) == 100
+    # lam_0 just below the top: the stop test runs first, so it still returns
+    shoot, shots = fake_shoot((1e-3, 1.0, 0, 1.0), (1e-11, 1.0, 0, 1.0), (0.0, 1.0, 0, 1.0))
+    _, f, _ = sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 4.0 - 1e-3 - 2e-11, 1e-10)
+    assert f == 0.0 and len(shots) == 3
 
 
 def test_newton_stop_takes_one_last_shot_unless_the_step_vanishes():

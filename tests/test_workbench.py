@@ -63,8 +63,9 @@ def test_roundtrip_too_few_roots():
         roundtrip(Polynomial((0.0,)), cfg)
 
 
-def test_roundtrip_last_widening_succeeds(monkeypatch):
-    # boxes of half-height 0.1, 0.4, 1.6 and 6.4: only the last reaches 2 pi i
+def test_roundtrip_small_box_raises_after_one_search(monkeypatch):
+    # the caller's box of half-height 0.1 misses the node at 2 pi i, and the
+    # search is not repeated on a wider box
     searches = []
 
     def counted(*args, **kwargs):
@@ -72,11 +73,10 @@ def test_roundtrip_last_widening_succeeds(monkeypatch):
         return find_det_eigenvalues(*args, **kwargs)
 
     monkeypatch.setattr(workbench, "find_det_eigenvalues", counted)
-    cfg = ExperimentConfig(search_box=SearchBox(-0.1, 0.1, -0.1, 0.1), degree_range=(0, 0))
-    report = roundtrip(Polynomial((0.0,)), cfg)
-    assert [box.im_max for box in searches] == pytest.approx([0.1, 0.4, 1.6, 6.4])
-    assert abs(abs(report.nodes_used[0]) - TWO_PI) <= 1e-6
-    assert report.max_coeff_error <= 1e-9
+    box = SearchBox(-0.1, 0.1, -0.1, 0.1)
+    with pytest.raises(TooFewRootsError, match="needed 1 determinant roots but found 0 in the"):
+        roundtrip(Polynomial((0.0,)), ExperimentConfig(search_box=box, degree_range=(0, 0)))
+    assert searches == [box]
 
 
 def test_seeded_suite_deterministic():
@@ -93,9 +93,7 @@ def test_seeded_suite_deterministic():
 
 def test_widening_keeps_roots(rng):
     prob = BoundaryPolynomialProblem(Polynomial((0.9, -0.4, 1.1)))
-    boxes = [SearchBox(-2.0, 2.0, -7.0, 7.0)]
-    for _ in range(4):
-        boxes.append(boxes[-1].widened(1.5))
+    boxes = [SearchBox(-2.0 * f, 2.0 * f, -7.0 * f, 7.0 * f) for f in 1.5 ** np.arange(5)]
     previous = []
     for box in boxes:
         roots = [r.value for r in find_det_eigenvalues(prob, box, 64)]
