@@ -295,21 +295,19 @@ def _newton_polish(prob, z0: complex, region: SearchBox):
     return None
 
 
-# imaginary fractions stay off 0.5: a symmetric box would otherwise put its
-# split line exactly on the real axis, where real-coefficient zeros live
-_SPLIT_FRACTIONS = (
-    (0.5, 0.511),
-    (0.53, 0.489),
-    (0.47, 0.523),
-    (0.511, 0.477),
-    (0.489, 0.533),
-    (0.545, 0.461),
+# One row per search attempt: (cut-line shift, re and im split fractions).
+# Each shift keeps the cut lines at least 2.3 away from every asymptotic
+# zero; the imaginary fractions stay off 0.5, since a symmetric box would
+# otherwise put its split line exactly on the real axis, where
+# real-coefficient zeros live.
+_ATTEMPTS = (
+    (0.0, 0.5, 0.511),
+    (0.37, 0.53, 0.489),
+    (-0.29, 0.47, 0.523),
+    (0.61, 0.511, 0.477),
+    (-0.53, 0.489, 0.533),
+    (0.83, 0.545, 0.461),
 )
-
-
-# cut-line shifts, one per search attempt; each keeps the lines at least
-# 2.3 away from every asymptotic zero
-_CUT_SHIFTS = (0.0, 0.37, -0.29, 0.61, -0.53, 0.83)
 
 
 def _strips(box: SearchBox, shift: float):
@@ -333,15 +331,18 @@ def _strips(box: SearchBox, shift: float):
     return sorted(strips, key=lambda e: (e[0], e[1].im_min))
 
 
-def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, shift: float):
-    """Strip-by-strip search; returns the located zeros, each simple.
+def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, row):
+    """Strip-by-strip search with one row of _ATTEMPTS; returns the located zeros, each simple.
 
     Each strip gets one winding.  A strip of count 1 is solved by Newton
     from its start; a strip that Newton misses, or that holds more zeros, is
-    quadrisected with its known count, so every count comes from a winding.
-    With `nearest`, the search stops before the first strip that lies
-    farther from the origin than the nearest-th smallest modulus located.
+    quadrisected with its known count, at the row's split fractions, so
+    every count comes from a winding.  With `nearest`, the search stops
+    before the first strip that lies farther from the origin than the
+    nearest-th smallest modulus located.  BoundaryZeroError when a zero
+    sits on a contour, or when a split's counts disagree with its parent's.
     """
+    shift, fr, fi = row
     found: list[complex] = []
 
     def visit(bx: SearchBox, count: int, depth: int, start: complex):
@@ -354,24 +355,11 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, sh
                 return
         if depth > 64:
             raise NumericalError(f"quadrisection depth exceeded near {bx.center!r}")
-        mismatches = []
-        for fr, fi in _SPLIT_FRACTIONS:
-            kids = bx.split(fr, fi)
-            try:
-                counts = [_winding_number(prob, k) for k in kids]
-            except BoundaryZeroError:
-                continue
-            # a zero hugging one of the new edges can corrupt two children at
-            # once; a disagreeing sum exposes it, so move the lines and retry
-            if sum(counts) == count:
-                break
-            mismatches.append(sum(counts))
-        else:
-            if mismatches:
-                raise NumericalError(
-                    f"winding mismatch persists near {bx.center!r}: parent {count}, "
-                    f"children sums {mismatches}"
-                )
+        kids = bx.split(fr, fi)
+        counts = [_winding_number(prob, k) for k in kids]
+        # a zero hugging one of the new edges can corrupt two children at
+        # once; a disagreeing sum exposes it, and the next attempt moves the lines
+        if sum(counts) != count:
             raise BoundaryZeroError(bx.center)
         for k, c in zip(kids, counts):
             visit(k, c, depth + 1, k.center)
@@ -398,9 +386,11 @@ def find_det_eigenvalues(
     With `nearest=n`, the search stops once the n smallest-modulus zeros in
     the box are certified: zeros may be missing, but none with modulus at
     or below the n-th smallest returned.  Without it, every zero in the
-    box.  A zero on the outer boundary or a cut line triggers up to 5
-    retries, each with the cut lines shifted and the box nudged outward by
-    the cluster radius.  Every zero is returned with multiplicity 1: a
+    box.  A zero on the outer boundary, a cut line or a split line, or a
+    split whose children's counts do not sum to its parent's, triggers up
+    to 5 retries, each with the next row of _ATTEMPTS: the cut lines
+    shifted, the split fractions moved, and the box nudged outward by the
+    cluster radius.  Every zero is returned with multiplicity 1: a
     multiple zero makes |g| vanish to second order, so some contour near it
     raises BoundaryZeroError.  For a real A the zeros are real or come in
     conjugate pairs: each zero below the real axis whose mirror image was
@@ -413,9 +403,9 @@ def find_det_eigenvalues(
         nearest = as_count(nearest, "nearest")
     eff = box
     last_err: BoundaryZeroError | None = None
-    for attempt, shift in enumerate(_CUT_SHIFTS):
+    for attempt, row in enumerate(_ATTEMPTS):
         try:
-            roots = _collect_roots(prob, eff, max_roots, nearest, shift)
+            roots = _collect_roots(prob, eff, max_roots, nearest, row)
             break
         except BoundaryZeroError as err:
             last_err = err

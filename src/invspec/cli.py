@@ -19,6 +19,7 @@ from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
 from .core import Polynomial
 from .errors import InputError, NumericalError
 from .fileio import (
+    _complex_out,
     dump_json,
     emit_report,
     emit_spectrum,
@@ -105,10 +106,7 @@ def _cmd_reconstruct(args) -> int:
     rec = reconstruct_coeffs(nodes)
     doc = dump_json(
         {
-            "recovered": [
-                c.real if c.imag == 0.0 else {"re": c.real, "im": c.imag}
-                for c in rec.coefficients.coeffs
-            ],
+            "recovered": [_complex_out(c) for c in rec.coefficients.coeffs],
             "condition": rec.vandermonde_condition,
             "node_residuals": list(rec.node_residuals),
             "nodes": [{"re": z.real, "im": z.imag} for z in nodes],

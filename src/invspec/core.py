@@ -76,9 +76,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z) -> complex:
-        return poly_eval(self, z)
-
 
 def horner(coeffs, z):
     """c_0 + c_1 z + ... + c_s z^s by the Horner recurrence; z a scalar or a numpy array."""

@@ -84,6 +84,7 @@ def _complex_list(doc: dict, field: str, nonempty: bool = True) -> tuple[complex
 
 
 def _complex_out(z: complex):
+    """A complex number in document form: a bare real, or {"re", "im"} off the real axis."""
     if z.imag == 0.0:
         return z.real
     return {"re": z.real, "im": z.imag}
@@ -146,12 +147,11 @@ def parse_spectrum(text: str) -> Spectrum:
         path = f"$.entries[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(path, "expected an object")
-        re = _real(_require(entry, "re", path), f"{path}.re")
-        im = _real(entry.get("im", 0.0), f"{path}.im")
+        z = _complex_in(entry, path)
         mult = _require(entry, "multiplicity", path)
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise SchemaError(f"{path}.multiplicity", f"expected a positive integer, got {mult!r}")
-        parsed.append((complex(re, im), mult))
+        parsed.append((z, mult))
     try:
         return Spectrum(tuple(parsed))
     except InputError as exc:

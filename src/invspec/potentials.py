@@ -1,7 +1,10 @@
 """Potential coefficients q(x) on [0,1] for the Neumann problems.
 
 Four representations: constant, piecewise-linear grid, single cosine mode,
-and polynomial in x.  All are immutable and evaluate to real values.
+and polynomial in x.  All are immutable and evaluate to real values.  Each
+kind writes its formula twice: once as the scalar call q(x), which the
+forward solver's mesh builder uses, and once as the vectorized
+`sample(xs)`, for the Simpson mean and other array work.
 """
 
 from __future__ import annotations
@@ -32,15 +35,11 @@ class Potential:
     kind = "abstract"
 
     def __call__(self, x: float) -> float:
-        """q(x) through the evaluator closure."""
-        return self.evaluator()(x)
+        """q(x) at one abscissa."""
+        raise NotImplementedError
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a numpy array of abscissae."""
-        raise NotImplementedError
-
-    def evaluator(self):
-        """Fast scalar closure for the integrator inner loop."""
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -68,9 +67,8 @@ class ConstantPotential(Potential):
     def sample(self, xs):
         return np.full_like(np.asarray(xs, dtype=float), self.value)
 
-    def evaluator(self):
-        v = self.value
-        return lambda x: v
+    def __call__(self, x):
+        return self.value
 
     def total_variation(self) -> float:
         return 0.0
@@ -110,22 +108,16 @@ class GridPotential(Potential):
     def sample(self, xs):
         return np.interp(np.asarray(xs, dtype=float), self.nodes, self.values)
 
-    def evaluator(self):
+    def __call__(self, x):
         nodes, values = self.nodes, self.values
-        br = bisect.bisect_right
-
-        def q(x: float) -> float:
-            if x <= 0.0:
-                return values[0]
-            if x >= 1.0:
-                return values[-1]
-            i = br(nodes, x)
-            x0 = nodes[i - 1]
-            x1 = nodes[i]
-            v0 = values[i - 1]
-            return v0 + (values[i] - v0) * (x - x0) / (x1 - x0)
-
-        return q
+        if x <= 0.0:
+            return values[0]
+        if x >= 1.0:
+            return values[-1]
+        i = bisect.bisect_right(nodes, x)
+        x0 = nodes[i - 1]
+        v0 = values[i - 1]
+        return v0 + (values[i] - v0) * (x - x0) / (nodes[i] - x0)
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.nodes[1:-1]
@@ -153,11 +145,8 @@ class CosinePotential(Potential):
     def sample(self, xs):
         return self.amplitude * np.cos(TWO_PI * self.frequency * np.asarray(xs, dtype=float))
 
-    def evaluator(self):
-        a = self.amplitude
-        w = TWO_PI * self.frequency
-        cos = math.cos
-        return lambda x: a * cos(w * x)
+    def __call__(self, x):
+        return self.amplitude * math.cos(TWO_PI * self.frequency * x)
 
     def total_variation(self) -> float:
         # integral of |A * 2 pi k sin(2 pi k x)| over one unit = 4 |A| k
@@ -188,17 +177,8 @@ class PolyPotential(Potential):
     def sample(self, xs):
         return horner(self.coeffs, np.asarray(xs, dtype=float))
 
-    def evaluator(self):
-        # Horner inlined: this is the integrator's innermost call, and horner() is ~1.7x slower
-        coeffs = tuple(reversed(self.coeffs))
-
-        def q(x: float) -> float:
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * x + c
-            return acc
-
-        return q
+    def __call__(self, x):
+        return horner(self.coeffs, x)
 
     def total_variation(self) -> float:
         deriv = tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:]))

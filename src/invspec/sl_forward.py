@@ -96,7 +96,7 @@ def _mesh(q: Potential, lam: float, eig_tol: float) -> tuple:
     80/sqrt(q - lam) keeps cosh finite.
     """
     tol = max(eig_tol / 1000.0, _MESH_TOL_FLOOR)
-    qf = q.evaluator()
+    qf = q.__call__  # bound once: each q(x) would look the method up again
     breaks = q.breakpoints()
     cells = []
     x, y, p = 0.0, 1.0, 0.0

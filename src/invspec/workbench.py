@@ -22,6 +22,7 @@ from .core import (
     Spectrum,
     as_count,
     as_positive_tol,
+    horner,
     poly_max_abs_diff,
     spectra_match,
 )
@@ -47,6 +48,8 @@ _COEFF_BOUND = 2.0
 MAX_ROOTS = 80
 # two determinant spectra match when paired roots lie within this distance
 _MATCH_TOL = 1e-6
+# relative size of A - B at which a zero of a counts as one of b too
+_SHARED_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class UniquenessReport:
     spectra_matched: bool
+    shared_zeros: int
     max_coeff_error_a: float
     max_coeff_error_b: float
     condition_a: float
@@ -137,12 +141,33 @@ def run_seeded_suite(cfg: ExperimentConfig) -> tuple[RoundTripReport, ...]:
     return tuple(reports)
 
 
+def _shared_zeros(a: Polynomial, b: Polynomial, roots_a: Spectrum, roots_b: Spectrum) -> int:
+    """Zeros of a, with multiplicity, that b's spectrum lists within _MATCH_TOL and where A = B.
+
+    At a zero z of a's determinant A(z) = rhs_value(z), so z is a zero of
+    b's iff B(z) = A(z).  Distance alone does not tell, since far zeros
+    move little with A: those of distinct pairs often lie within _MATCH_TOL
+    of each other.  So A - B must also vanish at z, to _SHARED_TOL times
+    sum (|a_k| + |b_k|) |z|^k, the rounding scale of evaluating it.
+    """
+    diff = [c - d for c, d in zip(a.coeffs, b.coeffs)]
+    sizes = [abs(c) + abs(d) for c, d in zip(a.coeffs, b.coeffs)]
+    return sum(
+        m for z, m in roots_a
+        if any(abs(z - w) <= _MATCH_TOL for w in roots_b.values)
+        and abs(horner(diff, z)) <= _SHARED_TOL * horner(sizes, abs(z))
+    )
+
+
 def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) -> UniquenessReport:
     """Check injectivity of coefficients -> eigenvalues on one pair.
 
-    Either the two determinant spectra over the search box differ, or each
-    spectrum reconstructs its own generator; both outcomes witness that the
-    pair cannot share eigenvalue data.
+    At a zero of the determinant A equals rhs_value, so two distinct
+    polynomials of degree s share at most s zeros, and s + 1 zeros
+    determine A.  The probe passes iff each spectrum reconstructs its own
+    generator and the pair shares at most s zeros (all of them when the
+    pair is identical).  The bound is tight: a + c (lam - z_1)...(lam - z_s)
+    over s zeros z_i of a shares exactly those.
     """
     if a.degree != a_tilde.degree:
         raise InputError(
@@ -154,20 +179,22 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
             f"polynomials are distinct but closer than 10x the cluster radius ({sep:.3e})"
         )
     start = time.perf_counter()
-    # spectra_match compares whole spectra, so both searches cover the whole box
+    # the shared count covers whole spectra, so both searches cover the whole box
     roots_a = _roots(BoundaryPolynomialProblem(a), cfg, a.degree + 1)
     roots_b = _roots(BoundaryPolynomialProblem(a_tilde), cfg, a.degree + 1)
     matched = spectra_match(roots_a, roots_b, _MATCH_TOL)
+    shared = _shared_zeros(a, a_tilde, roots_a, roots_b)
     rep_a = _recover(a, roots_a, start)
     rep_b = _recover(a_tilde, roots_b, start)
     own = all(r.max_coeff_error <= 1e-6 * max(1.0, r.condition) for r in (rep_a, rep_b))
     return UniquenessReport(
         spectra_matched=matched,
+        shared_zeros=shared,
         max_coeff_error_a=rep_a.max_coeff_error,
         max_coeff_error_b=rep_b.max_coeff_error,
         condition_a=rep_a.condition,
         condition_b=rep_b.condition,
-        passed=(not matched) or own,
+        passed=own and (matched if sep == 0.0 else shared <= a.degree),
     )
 
 

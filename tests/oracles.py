@@ -212,6 +212,36 @@ def rhs_printed_form(lam):
     return -(e2 - e1) / (-lam * e2 + 2.0 * lam * e1)
 
 
+# -- tight uniqueness pairs -------------------------------------------------
+
+def tight_pair(rng, s):
+    """(a, b): complex coefficients of degree s whose determinants share exactly s zeros.
+
+    The determinant vanishes where A(lam) equals the right-hand side
+    -((1 - e^-lam)/lam) / (2 e^-lam - 1).  With L the degree s-1
+    interpolant of that value at s points zs, solved in extended precision,
+    and P = (lam - z_1)...(lam - z_s), the determinants of a = L + c_a P
+    and b = L + c_b P both vanish at zs, and nowhere else in common since
+    a - b is a multiple of P.  The points lie inside DEFAULT_BOX, at least
+    1 apart.
+    """
+    zs = []
+    while len(zs) < s:
+        z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-25.0, 25.0))
+        if all(abs(z - w) > 1.0 for w in zs):
+            zs.append(z)
+    values = []
+    for z in zs:
+        em = mp.e ** (-mp.mpc(z))
+        values.append(-((1 - em) / mp.mpc(z)) / (2 * em - 1))
+    interp = [complex(c) for c in mp_vandermonde_solve(zs, values)] + [0j]
+    prod = np.polynomial.polynomial.polyfromroots(zs)
+    ca, cb = (complex(*rng.uniform(0.3, 2.0, 2)) for _ in range(2))
+    a = tuple(complex(l + ca * p) for l, p in zip(interp, prod))
+    b = tuple(complex(l + cb * p) for l, p in zip(interp, prod))
+    return a, b
+
+
 # -- clustering oracle -----------------------------------------------------
 
 def union_find_clusters(points, mults, radius):

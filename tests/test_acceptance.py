@@ -41,7 +41,12 @@ from invspec.fileio import (
 )
 from conftest import seeded_grid_potential, seeded_potential_mix, shifted_grid
 from invspec.core import CLUSTER_RADIUS
-from oracles import fd_neumann_eigenvalues, mp_vandermonde_solve, union_find_clusters
+from oracles import (
+    fd_neumann_eigenvalues,
+    mp_vandermonde_solve,
+    tight_pair,
+    union_find_clusters,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,7 +239,7 @@ def test_criterion_9_vandermonde_oracle_equivalence():
 def test_criterion_10_uniqueness_probes():
     rng = np.random.default_rng(1010)
     start = time.perf_counter()
-    all_pass = True
+    failed = []
     for i in range(10):
         degree = int(rng.integers(0, 3))
         a = tuple(float(c) for c in rng.uniform(-2, 2, degree + 1))
@@ -243,12 +248,20 @@ def test_criterion_10_uniqueness_probes():
         b[idx] += float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 0.8))
         pa, pb = Polynomial(a), Polynomial(tuple(b))
         assert poly_max_abs_diff(pa, pb) >= 0.1
-        report = uniqueness_probe(pa, pb, ExperimentConfig())
-        if not report.passed:
-            all_pass = False
-            break
+        if not uniqueness_probe(pa, pb, ExperimentConfig()).passed:
+            failed.append(f"random pair {i}")
+    # tight pairs: b - a vanishes at s shared zeros, the most two degree-s polynomials can share
+    for s in (1, 2, 3):
+        a, b = tight_pair(rng, s)
+        report = uniqueness_probe(Polynomial(a), Polynomial(b), ExperimentConfig())
+        if not report.passed or report.shared_zeros != s:
+            failed.append(f"tight pair s={s}: {report.shared_zeros} shared")
     elapsed = time.perf_counter() - start
-    _verdict(10, all_pass and elapsed < 60.0, f"10 uniqueness probes, {elapsed:.1f}s")
+    _verdict(
+        10,
+        not failed and elapsed < 60.0,
+        f"10 random and 3 tight uniqueness probes, {elapsed:.1f}s {failed}",
+    )
 
 
 def test_criterion_11_serialization(tmp_path, capsys):

@@ -19,6 +19,7 @@ from invspec import (
     delta_deriv,
     delta_scaled_eval,
     find_det_eigenvalues,
+    poly_eval,
     rhs_value,
     roundtrip,
     select_reconstruction_nodes,
@@ -340,7 +341,7 @@ def test_seeded_roots_residuals_and_consistency(rng):
         roots = find_det_eigenvalues(p, box, 64)
         assert roots, "expected at least one zero in the default box"
         for r in roots:
-            bound = RESIDUAL_TOL * (1.0 + abs(r.value * p.poly(r.value)))
+            bound = RESIDUAL_TOL * (1.0 + abs(r.value * poly_eval(p.poly, r.value)))
             assert abs(delta_scaled_eval(p, r.value)) <= bound
         assert count_zeros(p, box) == sum(r.multiplicity for r in roots)
 
@@ -423,6 +424,18 @@ def test_real_coefficients_give_exact_conjugate_pairs(rng):
 # -- strip search against the whole-box quadrisection ------------------------
 
 
+# where the reference cuts a box in four; it moves on to the next pair when a
+# child's contour hits a zero or the children's counts disagree with the parent's
+REFERENCE_FRACTIONS = (
+    (0.5, 0.511),
+    (0.53, 0.489),
+    (0.47, 0.523),
+    (0.511, 0.477),
+    (0.489, 0.533),
+    (0.545, 0.461),
+)
+
+
 def quadrisection_roots(p, box):
     """The whole-box quadrisection search the strip search replaced: the reference.
 
@@ -443,7 +456,7 @@ def quadrisection_roots(p, box):
             if b.diameter <= CLUSTER_RADIUS:
                 found.append((b.center, count))
                 return
-            for fr, fi in char_det._SPLIT_FRACTIONS:
+            for fr, fi in REFERENCE_FRACTIONS:
                 kids = b.split(fr, fi)
                 try:
                     counts = [char_det._winding_number(p, k) for k in kids]
@@ -503,7 +516,8 @@ def test_zero_on_a_cut_line_shifts_the_lines(monkeypatch):
     assert len(roots) == 9
     assert_same_roots(roots, quadrisection_roots(p, DEFAULT_BOX))
     # nudging the outer box alone never moves a cut line off the zero
-    monkeypatch.setattr(char_det, "_CUT_SHIFTS", (0.0,) * 6)
+    unshifted = tuple((0.0, fr, fi) for _, fr, fi in char_det._ATTEMPTS)
+    monkeypatch.setattr(char_det, "_ATTEMPTS", unshifted)
     with pytest.raises(BoundaryZeroError) as err:
         find_det_eigenvalues(p, DEFAULT_BOX, 80)
     assert abs(err.value.location - z0) <= 1e-6
@@ -698,10 +712,12 @@ def test_quadrisection_depth_limit(monkeypatch):
 
 def test_quadrisection_split_guards(monkeypatch):
     box = SearchBox(-1.0, 1.0, -1.0, 1.0)
-    # every split's children claim one zero each, four against the parent's two
+    row = char_det._ATTEMPTS[0]
+    # the children claim one zero each, four against the parent's two
     monkeypatch.setattr(char_det, "_winding_number", lambda p, b: 2 if b == box else 1)
-    with pytest.raises(NumericalError, match=r"parent 2, children sums \[4, 4, 4, 4, 4, 4\]"):
-        char_det._collect_roots(prob(0.0), box, 8, None, 0.0)
+    with pytest.raises(BoundaryZeroError) as err:
+        char_det._collect_roots(prob(0.0), box, 8, None, row)
+    assert err.value.location == box.center
 
     def on_every_split(p, b):
         if b == box:
@@ -710,8 +726,51 @@ def test_quadrisection_split_guards(monkeypatch):
 
     monkeypatch.setattr(char_det, "_winding_number", on_every_split)
     with pytest.raises(BoundaryZeroError) as err:
-        char_det._collect_roots(prob(0.0), box, 8, None, 0.0)
-    assert err.value.location == box.center
+        char_det._collect_roots(prob(0.0), box, 8, None, row)
+    assert err.value.location == box.split(*row[1:])[0].center
+
+
+def spy_splits(monkeypatch):
+    """The (re, im) fractions of every SearchBox.split call, in order."""
+    fractions = []
+    split = SearchBox.split
+
+    def spy(self, fr, fi):
+        fractions.append((fr, fi))
+        return split(self, fr, fi)
+
+    monkeypatch.setattr(SearchBox, "split", spy)
+    return fractions
+
+
+def test_a_split_mismatch_retries_with_the_next_attempt(monkeypatch):
+    # the strip nearest the origin holds two zeros, so the search splits it
+    p = prob(0.5, 1.0, -0.3)
+    want = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    fractions = spy_splits(monkeypatch)
+    count = char_det._winding_number
+    first = char_det._ATTEMPTS[0][1:]
+
+    def miscount(pr, b):
+        # every child of a split at attempt 0's fractions claims one zero too many
+        return count(pr, b) + (fractions[-1:] == [first] and b.width < 16.0)
+
+    monkeypatch.setattr(char_det, "_winding_number", miscount)
+    got = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    # one split on attempt 0, then every split of the search on attempt 1
+    assert fractions[0] == first and fractions[1:]
+    assert set(fractions[1:]) == {char_det._ATTEMPTS[1][1:]}
+    assert_same_roots(got, [(z, 1) for z in want.values])
+
+
+def test_a_split_mismatch_on_every_attempt_raises(monkeypatch):
+    # one strip of two zeros whose children always claim one each
+    box = SearchBox(-1.0, 1.0, -1.0, 1.0)
+    fractions = spy_splits(monkeypatch)
+    monkeypatch.setattr(char_det, "_winding_number", lambda p, b: 2 if b.width > 1.5 else 1)
+    with pytest.raises(BoundaryZeroError):
+        find_det_eigenvalues(prob(0.0), box, 8)
+    assert fractions == [row[1:] for row in char_det._ATTEMPTS]
 
 
 def test_root_residual_bound(monkeypatch):

@@ -6,6 +6,7 @@ import sys
 import mpmath as mp
 import pytest
 
+from invspec import workbench
 from invspec.cli import main
 from invspec import ConstantPotential, CosinePotential, GridPotential
 from invspec.fileio import emit_potential, parse_report, parse_spectrum
@@ -133,13 +134,18 @@ def test_roundtrip_argument_validation(tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
-def test_uniqueness_exit_code(tmp_path):
+def test_uniqueness_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "probe.json"
     rc = main(["uniqueness", "--coeffs-a", "1", "--coeffs-b", "2", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["spectra_matched"] is False
+    assert doc["shared_zeros"] == 0
+    # two distinct constants may share no zero
+    monkeypatch.setattr(workbench, "_shared_zeros", lambda *args: 1)
+    assert main(["uniqueness", "--coeffs-a", "1", "--coeffs-b", "2", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["passed"] is False
 
 
 def test_compare_command(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import seeded_potential_mix
 from invspec import (
     ConstantPotential,
     CosinePotential,
@@ -42,8 +43,21 @@ def test_interface_defaults():
     assert CosinePotential(-1.5, 0).lower_bound() == -1.5
     assert PolyPotential((3.0,)).total_variation() == 0.0
     base = Potential()
-    for hook in (base.evaluator, base.total_variation, base.lower_bound):
+    for hook in (base.total_variation, base.lower_bound):
         with pytest.raises(NotImplementedError):
             hook()
     with pytest.raises(NotImplementedError):
+        base(0.5)
+    with pytest.raises(NotImplementedError):
         base.sample(np.zeros(2))
+
+
+def test_scalar_call_agrees_with_sample(rng):
+    # each kind writes its formula twice; the mesh builder uses q(x), the Simpson mean sample
+    worst = 0.0
+    for _ in range(200):
+        q = seeded_potential_mix(rng)
+        xs = [0.0, 1.0, *q.breakpoints(), *rng.uniform(0.0, 1.0, 20)]
+        for x, v in zip(xs, q.sample(np.array(xs))):
+            worst = max(worst, abs(q(float(x)) - v) / max(1.0, abs(v)))
+    assert worst <= 1e-15

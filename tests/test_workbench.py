@@ -17,7 +17,7 @@ from invspec import (
 )
 from invspec import workbench
 from invspec.fileio import emit_potential
-from invspec.workbench import compare_neumann
+from invspec.workbench import DEFAULT_BOX, compare_neumann
 from invspec import ConstantPotential, CosinePotential, GridPotential
 from oracles import fd_neumann_eigenvalues
 
@@ -105,6 +105,7 @@ def test_widening_keeps_roots(rng):
 def test_uniqueness_distinct_constants():
     report = uniqueness_probe(Polynomial((1.0,)), Polynomial((2.0,)), ExperimentConfig())
     assert not report.spectra_matched
+    assert report.shared_zeros == 0
     assert report.passed
     assert report.max_coeff_error_a <= 1e-7
     assert report.max_coeff_error_b <= 1e-7
@@ -114,8 +115,34 @@ def test_uniqueness_identical_pair():
     p = Polynomial((0.5, -1.0))
     report = uniqueness_probe(p, p, ExperimentConfig())
     assert report.spectra_matched
+    roots = find_det_eigenvalues(BoundaryPolynomialProblem(p), DEFAULT_BOX, 80)
+    assert report.shared_zeros == len(roots)
     assert report.passed
     assert report.max_coeff_error_a == report.max_coeff_error_b
+
+
+def test_uniqueness_counts_the_zeros_a_tight_pair_shares():
+    a = Polynomial((0.5, 1.0, -0.3))
+    roots = find_det_eigenvalues(BoundaryPolynomialProblem(a), DEFAULT_BOX, 80, nearest=2)
+    z1, z2 = roots.values[:2]
+    b = Polynomial(tuple(c + 0.7 * d for c, d in zip(a.coeffs, (z1 * z2, -(z1 + z2), 1.0))))
+    report = uniqueness_probe(a, b, ExperimentConfig())
+    assert not report.spectra_matched
+    assert report.shared_zeros == 2
+    assert report.passed
+
+
+def test_uniqueness_far_zeros_close_in_distance_are_not_shared():
+    # far zeros move little with A: six pairs of zeros of these two lie
+    # within the match tolerance, and none is a zero of both
+    a = Polynomial((0.14322292494737443, 1.670706932453843, 1.9258633955552122))
+    b = Polynomial((0.7655243241210514, 1.670706932453843, 1.9258633955552122))
+    roots = [find_det_eigenvalues(BoundaryPolynomialProblem(p), DEFAULT_BOX, 80) for p in (a, b)]
+    close = [z for z in roots[0].values if min(abs(z - w) for w in roots[1].values) <= 1e-6]
+    assert len(close) == 6
+    report = uniqueness_probe(a, b, ExperimentConfig())
+    assert report.shared_zeros == 0
+    assert report.passed
 
 
 def test_uniqueness_rejects_close_but_distinct():
