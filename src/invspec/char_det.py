@@ -19,6 +19,9 @@ per horizontal strip of height 2 pi.  The search box is therefore cut into
 such strips, each counted by one winding and, nearest the origin first,
 solved by Newton on g from its asymptotic zero; recursive quadrisection
 isolates the zeros of any strip Newton does not solve.
+
+Each point, or array of points, gets g and g' from one evaluation (one
+e^{-lam}, one A(lam)), and `count_zeros` is the one winding for all boxes.
 """
 
 from __future__ import annotations
@@ -136,31 +139,39 @@ def _exp_terms(lam):
     Raises NumericalError where e^{-lam} overflows.
     """
     if isinstance(lam, np.ndarray):
-        mod = np.abs(lam)
         # |e^{-lam}| = e^{-re lam} overflows only left of re lam = -_EXP_LIMIT
-        if mod.max() > _EXP_LIMIT and lam.real.min() < -_EXP_LIMIT:
+        if lam.real.min() < -_EXP_LIMIT:
             raise _overflow_error(lam[np.argmin(lam.real)])
         em = np.exp(-lam)
-        if mod.min() >= _SERIES_RADIUS:
-            g1 = (1.0 - em) / lam
-            return lam, em, g1, (em - g1) / lam
-        small = mod < _SERIES_RADIUS
-        # series entries divide by 1, not by a possible 0, then take scalar values
+        # the scalar branch's test, op for op (np.abs and abs can round apart)
+        small = lam.real * lam.real + lam.imag * lam.imag < _SERIES_RADIUS**2
+        # series entries divide by 1, not by a possible 0, then take the series
         den = np.where(small, 1.0, lam)
         g1 = (1.0 - em) / den
         g1p = (em - g1) / den
-        for i in np.flatnonzero(small):
-            _, _, g1[i], g1p[i] = _exp_terms(lam[i])
+        if small.any():
+            g1[small] = horner(_G1_SERIES, lam[small])
+            g1p[small] = horner(_G1_DERIV_SERIES, lam[small])
         return lam, em, g1, g1p
     lam = complex(lam)
     try:
         em = cmath.exp(-lam)
     except OverflowError:
         raise _overflow_error(lam) from None
-    if abs(lam) < _SERIES_RADIUS:
+    if lam.real * lam.real + lam.imag * lam.imag < _SERIES_RADIUS**2:
         return lam, em, horner(_G1_SERIES, lam), horner(_G1_DERIV_SERIES, lam)
     g1 = (1.0 - em) / lam
     return lam, em, g1, (em - g1) / lam
+
+
+def _g_and_slope(prob: BoundaryPolynomialProblem, lam):
+    """g and g' at a scalar or an array, from one _exp_terms call and one A(lam)."""
+    lam, em, g1, g1p = _exp_terms(lam)
+    coeffs = prob.poly.coeffs
+    a_val, tail = horner(coeffs, lam), 2.0 * em - 1.0
+    # A' as a plain list: building a validated Polynomial cost more than g' itself
+    ap_val = horner([k * c for k, c in enumerate(coeffs)][1:], lam)
+    return g1 + a_val * tail, g1p + ap_val * tail - 2.0 * a_val * em
 
 
 def delta_scaled_eval(prob: BoundaryPolynomialProblem, lam):
@@ -170,17 +181,12 @@ def delta_scaled_eval(prob: BoundaryPolynomialProblem, lam):
     delta, with equal multiplicities.  Takes a complex scalar or a numpy
     array of points.
     """
-    lam, em, g1, _ = _exp_terms(lam)
-    return g1 + horner(prob.poly.coeffs, lam) * (2.0 * em - 1.0)
+    return _g_and_slope(prob, lam)[0]
 
 
 def delta_deriv(prob: BoundaryPolynomialProblem, lam):
     """Analytic derivative of the scaled determinant g, at a scalar or an array."""
-    lam, em, _, g1p = _exp_terms(lam)
-    coeffs = prob.poly.coeffs
-    # A' as a plain list: building a validated Polynomial cost more than g' itself
-    ap_val = horner([k * c for k, c in enumerate(coeffs)][1:], lam)
-    return g1p + ap_val * (2.0 * em - 1.0) - 2.0 * horner(coeffs, lam) * em
+    return _g_and_slope(prob, lam)[1]
 
 
 def _edge_points(box: SearchBox, samples_per_unit: float):
@@ -201,26 +207,26 @@ def _edge_points(box: SearchBox, samples_per_unit: float):
     return np.concatenate(pts)
 
 
-def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
-    """Winding number of g along the box boundary (argument principle).
+def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
+    """Zeros of the determinant inside the box, counted with multiplicity.
 
-    Counts every zero of g inside.  A segment is accepted only when its
-    phase jump is below pi/2 AND the derivative bound len * max|g'| / min|g|
-    at its endpoints is small: the bound dominates the true phase change, so
-    zeros lurking between samples cannot alias a full turn past the jump
-    test.  A sample with |g| at or below RESIDUAL_TOL raises
-    BoundaryZeroError.
+    The count is the winding number of g along the box boundary (argument
+    principle).  A segment is accepted only when its phase jump is below
+    pi/2 AND the derivative bound len * max|g'| / min|g| at its endpoints
+    is small: the bound dominates the true phase change, so zeros lurking
+    between samples cannot alias a full turn past the jump test.  A sample
+    with |g| at or below RESIDUAL_TOL raises BoundaryZeroError; a winding
+    far from an integer, or below zero, raises NumericalError.
 
     The first pass tests every segment between contour samples at once, in
-    numpy.  Only the segments that fail it are bisected, one at a time and
-    in contour order, by the scalar loop.
+    numpy.  The few that fail it are bisected, one at a time and in contour
+    order, by the scalar loop, too few for numpy's per-call cost to pay.
     """
     pts = _edge_points(box, samples_per_unit=8.0)
-    vals = delta_scaled_eval(prob, pts)
-    mags = np.abs(vals)
+    vals, ders = _g_and_slope(prob, pts)
+    mags, ders = np.abs(vals), np.abs(ders)
     if (mags <= RESIDUAL_TOL).any():
         raise BoundaryZeroError(complex(pts[int(np.argmin(mags))]))
-    ders = np.abs(delta_deriv(prob, pts))
 
     jumps = np.angle(vals[1:] / vals[:-1])
     excursions = (
@@ -228,47 +234,38 @@ def _winding_number(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     )
     accepted = (np.abs(jumps) < _HALF_PI) & (excursions <= 0.5)
     total = float(jumps[accepted].sum())
-    # pushed last to first, so the stack pops them in contour order
-    stack = [
-        (
-            complex(pts[i]), complex(vals[i]), float(ders[i]),
-            complex(pts[i + 1]), complex(vals[i + 1]), float(ders[i + 1]),
-        )
-        for i in np.flatnonzero(~accepted)[::-1].tolist()
-    ]
+
+    def sample(i):
+        return complex(pts[i]), complex(vals[i]), float(ders[i])
+
+    # failing segments pushed last to first, so the stack pops them in contour order
+    stack = [(sample(i), sample(i + 1)) for i in np.flatnonzero(~accepted)[::-1].tolist()]
     while stack:
-        z0, f0, d0, z1, f1, d1 = stack.pop()
+        (z0, f0, d0), (z1, f1, d1) = stack.pop()
         jump = cmath.phase(f1 / f0)
         seg = abs(z1 - z0)
         excursion = seg * max(d0, d1) / min(abs(f0), abs(f1))
-        if abs(jump) < _HALF_PI and excursion <= 0.5:
+        # a segment at the length floor is judged by its phase jump alone
+        at_floor = seg < 1e-12 * (1.0 + abs(z0))
+        if abs(jump) < _HALF_PI and (excursion <= 0.5 or at_floor):
             total += jump
             continue
-        if seg < 1e-12 * (1.0 + abs(z0)):
-            if abs(jump) < _HALF_PI:
-                total += jump
-                continue
+        if at_floor:
             raise BoundaryZeroError(0.5 * (z0 + z1))
         zm = 0.5 * (z0 + z1)
-        fm = delta_scaled_eval(prob, zm)
+        fm, dm = _g_and_slope(prob, zm)
         if abs(fm) <= RESIDUAL_TOL:
             raise BoundaryZeroError(zm)
-        dm = abs(delta_deriv(prob, zm))
-        stack.append((zm, fm, dm, z1, f1, d1))
-        stack.append((z0, f0, d0, zm, fm, dm))
+        mid = (zm, fm, abs(dm))
+        stack.append((mid, (z1, f1, d1)))
+        stack.append(((z0, f0, d0), mid))
     w = total / _TWO_PI
     k = round(w)
     if abs(w - k) > 0.2:
         raise NumericalError(f"winding number {w:.4f} is not close to an integer")
+    if k < 0:
+        raise NumericalError(f"negative zero count {k}: inconsistent winding data")
     return int(k)
-
-
-def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
-    """Zeros of the determinant inside the box, counted with multiplicity."""
-    w = _winding_number(prob, box)
-    if w < 0:
-        raise NumericalError(f"negative zero count {w}: inconsistent winding data")
-    return w
 
 
 def _newton_polish(prob, z0: complex, region: SearchBox):
@@ -278,8 +275,7 @@ def _newton_polish(prob, z0: complex, region: SearchBox):
     # converging polishes in 4,800 seeded round trips took at most 42
     # iterations; one still going at 50 has stalled, and quadrisection takes over
     for _ in range(50):
-        f = delta_scaled_eval(prob, z)
-        df = delta_deriv(prob, z)
+        f, df = _g_and_slope(prob, z)
         if df == 0:
             return None
         step = f / df
@@ -288,9 +284,9 @@ def _newton_polish(prob, z0: complex, region: SearchBox):
             return None
         if abs(step) <= 1e-13 * (1.0 + abs(z)):
             # one extra iteration parks the residual at the noise floor
-            df = delta_deriv(prob, z)
+            f, df = _g_and_slope(prob, z)
             if df != 0:
-                z -= delta_scaled_eval(prob, z) / df
+                z -= f / df
             return z
     return None
 
@@ -356,11 +352,12 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, ro
         if depth > 64:
             raise NumericalError(f"quadrisection depth exceeded near {bx.center!r}")
         kids = bx.split(fr, fi)
-        counts = [_winding_number(prob, k) for k in kids]
+        counts = [count_zeros(prob, k) for k in kids]
         # a zero hugging one of the new edges can corrupt two children at
         # once; a disagreeing sum exposes it, and the next attempt moves the lines
         if sum(counts) != count:
-            raise BoundaryZeroError(bx.center)
+            msg = f"split of the box at {bx.center!r}: children count {counts}, parent {count}"
+            raise BoundaryZeroError(bx.center, msg)
         for k, c in zip(kids, counts):
             visit(k, c, depth + 1, k.center)
 

@@ -64,10 +64,11 @@ class BoundaryZeroError(NumericalError):
     and retry themselves.
     """
 
-    def __init__(self, location: complex):
+    def __init__(self, location: complex, message: str | None = None):
         self.location = location
         super().__init__(
-            f"determinant vanishes on the search-box boundary near {location!r}; "
+            message
+            or f"determinant vanishes on the search-box boundary near {location!r}; "
             "perturb the box by the cluster radius and retry"
         )
 

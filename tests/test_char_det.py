@@ -179,6 +179,33 @@ def test_delta_deriv_spot_case():
     assert abs(delta_deriv(p, 1.0) - fd) <= 1e-5 * abs(fd)
 
 
+def test_array_path_matches_scalar_path_near_the_origin():
+    # the array path takes the series of g1 = (1 - e^{-lam})/lam and g1'
+    # over its small entries in one array Horner; the scalar path, one
+    # point at a time.  g and g' add terms of size about 1 there and can
+    # cancel, so they are compared relative to max(1, |g|).  Outside the
+    # radius both paths divide by lam, and numpy's complex division rounds
+    # apart from Python's: up to 4.4e-15 relative in g1' just outside the
+    # radius, where e^{-lam} - g1 cancels
+    r = char_det._SERIES_RADIUS
+    angles = np.exp(1j * np.linspace(0.0, TWO_PI, 7, endpoint=False))
+    moduli = (0.0, 1e-300, 1e-12, 1e-3, 0.05, 0.5 * r, r * (1 - 1e-12), r, r * (1 + 1e-12))
+    moduli += (0.15, 2.0)
+    pts = np.array([m * a for m in moduli for a in angles] + [1e-8, -0.07 + 0.02j, 3.0 - 4.0j])
+    inside = pts.real * pts.real + pts.imag * pts.imag < r**2
+    assert 0 < inside.sum() < len(pts)
+    _, _, g1, g1p = char_det._exp_terms(pts)
+    for z, a, b in zip(pts[inside], g1[inside], g1p[inside]):
+        _, _, want_a, want_b = char_det._exp_terms(complex(z))
+        assert abs(a - want_a) <= 1e-15 * abs(want_a) and abs(b - want_b) <= 1e-15 * abs(want_b)
+    for p in (prob(0.0), prob(1.0, 2.0), prob(-0.25, 3.0, 0.5j), prob(0.3 - 1j, -2.0, 0.0, 1.5)):
+        for f in (delta_scaled_eval, delta_deriv):
+            for z, v, series in zip(pts, f(p, pts), inside):
+                want = f(p, complex(z))
+                tol = 1e-15 if series else 1e-14
+                assert abs(v - want) <= tol * max(1.0, abs(want)), (f.__name__, z)
+
+
 # -- zero counting and location ---------------------------------------------
 
 def test_count_zeros_free_examples():
@@ -194,16 +221,32 @@ def test_count_zeros_boundary_collision():
 
 
 def spy_on_dhat(monkeypatch):
-    """Record the kind of every delta_scaled_eval call the winding makes."""
+    """Record the kind of every g-and-g' evaluation the winding makes."""
     calls = []
-    real = char_det.delta_scaled_eval
+    real = char_det._g_and_slope
 
     def spy(p, lam):
         calls.append("array" if isinstance(lam, np.ndarray) else "scalar")
         return real(p, lam)
 
-    monkeypatch.setattr(char_det, "delta_scaled_eval", spy)
+    monkeypatch.setattr(char_det, "_g_and_slope", spy)
     return calls
+
+
+def test_one_exp_terms_call_per_point_or_batch(monkeypatch):
+    calls = []
+    exp_terms = char_det._exp_terms
+    monkeypatch.setattr(char_det, "_exp_terms", lambda lam: calls.append(lam) or exp_terms(lam))
+    # far from every zero the first pass accepts every segment: one batch
+    assert count_zeros(prob(0.0), SearchBox(-1.0, 1.0, 1.0, 5.0)) == 0
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    # Newton evaluates g and g' at each iterate, the final extra step's too,
+    # with one call, so no point is evaluated twice
+    calls.clear()
+    z = char_det._newton_polish(prob(0.0), 0.1 + 6.0j, SearchBox(-1.0, 1.0, 5.0, 8.0))
+    assert abs(z - TWO_PI * 1j) <= 1e-12
+    assert len(calls) > 2
+    assert len(set(calls)) == len(calls)
 
 
 def test_winding_first_pass_and_scalar_refinement(monkeypatch):
@@ -281,10 +324,10 @@ def test_winding_matches_scalar_reference(rng):
             want = scalar_winding(p, box)
         except BoundaryZeroError as err:
             with pytest.raises(BoundaryZeroError) as got:
-                char_det._winding_number(p, box)
+                count_zeros(p, box)
             assert got.value.location == err.location
         else:
-            assert char_det._winding_number(p, box) == want
+            assert count_zeros(p, box) == want
 
 
 def _box_in(lo, hi):
@@ -459,7 +502,7 @@ def quadrisection_roots(p, box):
             for fr, fi in REFERENCE_FRACTIONS:
                 kids = b.split(fr, fi)
                 try:
-                    counts = [char_det._winding_number(p, k) for k in kids]
+                    counts = [count_zeros(p, k) for k in kids]
                 except BoundaryZeroError:
                     continue
                 if sum(counts) == count:
@@ -469,7 +512,7 @@ def quadrisection_roots(p, box):
             for k, c in zip(kids, counts):
                 visit(k, c)
 
-        visit(bx, char_det._winding_number(p, bx))
+        visit(bx, count_zeros(p, bx))
         return found
 
     for attempt in range(6):
@@ -576,13 +619,13 @@ def test_nearest_certifies_the_smallest_modulus_roots(rng):
 
 def test_nearest_stops_early(monkeypatch):
     windings = []
-    count = char_det._winding_number
+    count = char_det.count_zeros
 
     def spy(p, box):
         windings.append(box)
         return count(p, box)
 
-    monkeypatch.setattr(char_det, "_winding_number", spy)
+    monkeypatch.setattr(char_det, "count_zeros", spy)
     p = prob(0.7)
     full = find_det_eigenvalues(p, DEFAULT_BOX, 80)
     n_full = len(windings)
@@ -637,8 +680,7 @@ def test_contour_sample_on_a_zero():
 
 def fake_determinant(monkeypatch, g, dg):
     """Replace g and g' inside char_det by functions of a scalar or an array."""
-    monkeypatch.setattr(char_det, "delta_scaled_eval", lambda p, z: g(z))
-    monkeypatch.setattr(char_det, "delta_deriv", lambda p, z: dg(z))
+    monkeypatch.setattr(char_det, "_g_and_slope", lambda p, z: (g(z), dg(z)))
 
 
 def test_segment_underflow_accepts_a_small_jump(monkeypatch):
@@ -686,7 +728,8 @@ def test_clockwise_contour_gives_a_negative_count(monkeypatch):
 
 
 def test_newton_gives_up_on_a_zero_derivative(monkeypatch):
-    monkeypatch.setattr(char_det, "delta_deriv", lambda p, z: 0j)
+    g_and_slope = char_det._g_and_slope
+    monkeypatch.setattr(char_det, "_g_and_slope", lambda p, z: (g_and_slope(p, z)[0], 0j))
     assert char_det._newton_polish(prob(0.0), 0.1 + 6.0j, SearchBox(-1.0, 1.0, 5.0, 8.0)) is None
 
 
@@ -694,8 +737,10 @@ def test_newton_stalls_after_50_iterations(monkeypatch):
     # a benchmark round trip (roundtrip, seed 1, item 297) starts Newton here;
     # it wanders inside the region without converging
     derivs = []
-    deriv = char_det.delta_deriv
-    monkeypatch.setattr(char_det, "delta_deriv", lambda p, z: derivs.append(z) or deriv(p, z))
+    g_and_slope = char_det._g_and_slope
+    monkeypatch.setattr(
+        char_det, "_g_and_slope", lambda p, z: derivs.append(z) or g_and_slope(p, z)
+    )
     p = prob(0.1275684588324153, -1.0211702521405979)
     region = SearchBox(0.0, 4.0, 0.06911503837897559, 1.6391510997517034)
     assert char_det._newton_polish(p, 2 + 0.8541330690653395j, region) is None
@@ -705,7 +750,7 @@ def test_newton_stalls_after_50_iterations(monkeypatch):
 def test_quadrisection_depth_limit(monkeypatch):
     # a count that never resolves: one zero at the origin that Newton never finds
     monkeypatch.setattr(char_det, "_newton_polish", lambda p, z, region: None)
-    monkeypatch.setattr(char_det, "_winding_number", lambda p, box: int(box.contains(0j)))
+    monkeypatch.setattr(char_det, "count_zeros", lambda p, box: int(box.contains(0j)))
     with pytest.raises(NumericalError, match="quadrisection depth exceeded"):
         find_det_eigenvalues(prob(0.0), SearchBox(-1.0, 1.3, -0.7, 1.1), 8)
 
@@ -714,17 +759,16 @@ def test_quadrisection_split_guards(monkeypatch):
     box = SearchBox(-1.0, 1.0, -1.0, 1.0)
     row = char_det._ATTEMPTS[0]
     # the children claim one zero each, four against the parent's two
-    monkeypatch.setattr(char_det, "_winding_number", lambda p, b: 2 if b == box else 1)
-    with pytest.raises(BoundaryZeroError) as err:
+    monkeypatch.setattr(char_det, "count_zeros", lambda p, b: 2 if b == box else 1)
+    with pytest.raises(BoundaryZeroError, match=r"children count \[1, 1, 1, 1\], parent 2"):
         char_det._collect_roots(prob(0.0), box, 8, None, row)
-    assert err.value.location == box.center
 
     def on_every_split(p, b):
         if b == box:
             return 2
         raise BoundaryZeroError(b.center)
 
-    monkeypatch.setattr(char_det, "_winding_number", on_every_split)
+    monkeypatch.setattr(char_det, "count_zeros", on_every_split)
     with pytest.raises(BoundaryZeroError) as err:
         char_det._collect_roots(prob(0.0), box, 8, None, row)
     assert err.value.location == box.split(*row[1:])[0].center
@@ -748,14 +792,14 @@ def test_a_split_mismatch_retries_with_the_next_attempt(monkeypatch):
     p = prob(0.5, 1.0, -0.3)
     want = find_det_eigenvalues(p, DEFAULT_BOX, 80)
     fractions = spy_splits(monkeypatch)
-    count = char_det._winding_number
+    count = char_det.count_zeros
     first = char_det._ATTEMPTS[0][1:]
 
     def miscount(pr, b):
         # every child of a split at attempt 0's fractions claims one zero too many
         return count(pr, b) + (fractions[-1:] == [first] and b.width < 16.0)
 
-    monkeypatch.setattr(char_det, "_winding_number", miscount)
+    monkeypatch.setattr(char_det, "count_zeros", miscount)
     got = find_det_eigenvalues(p, DEFAULT_BOX, 80)
     # one split on attempt 0, then every split of the search on attempt 1
     assert fractions[0] == first and fractions[1:]
@@ -767,7 +811,7 @@ def test_a_split_mismatch_on_every_attempt_raises(monkeypatch):
     # one strip of two zeros whose children always claim one each
     box = SearchBox(-1.0, 1.0, -1.0, 1.0)
     fractions = spy_splits(monkeypatch)
-    monkeypatch.setattr(char_det, "_winding_number", lambda p, b: 2 if b.width > 1.5 else 1)
+    monkeypatch.setattr(char_det, "count_zeros", lambda p, b: 2 if b.width > 1.5 else 1)
     with pytest.raises(BoundaryZeroError):
         find_det_eigenvalues(prob(0.0), box, 8)
     assert fractions == [row[1:] for row in char_det._ATTEMPTS]
