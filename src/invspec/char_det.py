@@ -215,12 +215,12 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     pi/2 AND the derivative bound len * max|g'| / min|g| at its endpoints
     is small: the bound dominates the true phase change, so zeros lurking
     between samples cannot alias a full turn past the jump test.  A sample
-    with |g| at or below RESIDUAL_TOL raises BoundaryZeroError; a winding
-    far from an integer, or below zero, raises NumericalError.
+    with |g| at or below RESIDUAL_TOL, or a count below zero, raises
+    BoundaryZeroError; a winding far from an integer, NumericalError.
 
     The first pass tests every segment between contour samples at once, in
-    numpy.  The few that fail it are bisected, one at a time and in contour
-    order, by the scalar loop, too few for numpy's per-call cost to pay.
+    numpy.  Only the segments that fail it are bisected, one at a time and
+    in contour order, by the scalar loop.
     """
     pts = _edge_points(box, samples_per_unit=8.0)
     vals, ders = _g_and_slope(prob, pts)
@@ -234,14 +234,16 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     )
     accepted = (np.abs(jumps) < _HALF_PI) & (excursions <= 0.5)
     total = float(jumps[accepted].sum())
-
-    def sample(i):
-        return complex(pts[i]), complex(vals[i]), float(ders[i])
-
-    # failing segments pushed last to first, so the stack pops them in contour order
-    stack = [(sample(i), sample(i + 1)) for i in np.flatnonzero(~accepted)[::-1].tolist()]
+    # pushed last to first, so the stack pops them in contour order
+    stack = [
+        (
+            complex(pts[i]), complex(vals[i]), float(ders[i]),
+            complex(pts[i + 1]), complex(vals[i + 1]), float(ders[i + 1]),
+        )
+        for i in np.flatnonzero(~accepted)[::-1].tolist()
+    ]
     while stack:
-        (z0, f0, d0), (z1, f1, d1) = stack.pop()
+        z0, f0, d0, z1, f1, d1 = stack.pop()
         jump = cmath.phase(f1 / f0)
         seg = abs(z1 - z0)
         excursion = seg * max(d0, d1) / min(abs(f0), abs(f1))
@@ -256,15 +258,14 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
         fm, dm = _g_and_slope(prob, zm)
         if abs(fm) <= RESIDUAL_TOL:
             raise BoundaryZeroError(zm)
-        mid = (zm, fm, abs(dm))
-        stack.append((mid, (z1, f1, d1)))
-        stack.append(((z0, f0, d0), mid))
+        stack.append((zm, fm, abs(dm), z1, f1, d1))
+        stack.append((z0, f0, d0, zm, fm, abs(dm)))
     w = total / _TWO_PI
     k = round(w)
     if abs(w - k) > 0.2:
         raise NumericalError(f"winding number {w:.4f} is not close to an integer")
     if k < 0:
-        raise NumericalError(f"negative zero count {k}: inconsistent winding data")
+        raise BoundaryZeroError(box.center, f"negative zero count {k} in the box at {box.center!r}")
     return int(k)
 
 
@@ -336,7 +337,7 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, ro
     every count comes from a winding.  With `nearest`, the search stops
     before the first strip that lies farther from the origin than the
     nearest-th smallest modulus located.  BoundaryZeroError when a zero
-    sits on a contour, or when a split's counts disagree with its parent's.
+    sits on a contour, a count is negative, or a split's counts disagree.
     """
     shift, fr, fi = row
     found: list[complex] = []
@@ -383,13 +384,13 @@ def find_det_eigenvalues(
     With `nearest=n`, the search stops once the n smallest-modulus zeros in
     the box are certified: zeros may be missing, but none with modulus at
     or below the n-th smallest returned.  Without it, every zero in the
-    box.  A zero on the outer boundary, a cut line or a split line, or a
-    split whose children's counts do not sum to its parent's, triggers up
-    to 5 retries, each with the next row of _ATTEMPTS: the cut lines
-    shifted, the split fractions moved, and the box nudged outward by the
-    cluster radius.  Every zero is returned with multiplicity 1: a
-    multiple zero makes |g| vanish to second order, so some contour near it
-    raises BoundaryZeroError.  For a real A the zeros are real or come in
+    box.  A zero on the outer boundary, a cut line or a split line, a
+    negative count, or a split whose children's counts do not sum to its
+    parent's, triggers up to 5 retries, each with the next row of
+    _ATTEMPTS: the cut lines shifted, the split fractions moved, and the box
+    nudged outward by the cluster radius.  Every zero is returned with
+    multiplicity 1: a multiple zero makes |g| vanish to second order, so
+    some contour near it raises BoundaryZeroError.  For a real A the zeros are real or come in
     conjugate pairs: each zero below the real axis whose mirror image was
     located is replaced by that zero's exact conjugate, so a pair lists
     -im first, and a zero within the cluster radius of the axis with no

@@ -56,8 +56,8 @@ class BracketingError(NumericalError):
 class BoundaryZeroError(NumericalError):
     """A zero of the scaled determinant sits (numerically) on a contour.
 
-    Also raised when a split box's four counts do not sum to its parent's,
-    which a zero hugging one of the new edges can cause.
+    Also raised when a box's count comes out negative, or a split box's four
+    counts do not sum to its parent's: a zero hugging an edge can cause both.
 
     find_det_eigenvalues already nudges its box outward and retries; callers
     of count_zeros must perturb the box by at least the clustering radius

@@ -723,8 +723,11 @@ def test_clockwise_contour_gives_a_negative_count(monkeypatch):
     monkeypatch.setattr(
         char_det, "_edge_points", lambda box, samples_per_unit: edges(box, samples_per_unit)[::-1]
     )
-    with pytest.raises(NumericalError, match="negative zero count -1"):
-        count_zeros(prob(0.0), SearchBox(-1.0, 1.0, 5.0, 8.0))
+    box = SearchBox(-1.0, 1.0, 5.0, 8.0)
+    # a BoundaryZeroError, so find_det_eigenvalues retries with moved lines
+    with pytest.raises(BoundaryZeroError, match="negative zero count -1") as err:
+        count_zeros(prob(0.0), box)
+    assert err.value.location == box.center
 
 
 def test_newton_gives_up_on_a_zero_derivative(monkeypatch):
@@ -760,8 +763,9 @@ def test_quadrisection_split_guards(monkeypatch):
     row = char_det._ATTEMPTS[0]
     # the children claim one zero each, four against the parent's two
     monkeypatch.setattr(char_det, "count_zeros", lambda p, b: 2 if b == box else 1)
-    with pytest.raises(BoundaryZeroError, match=r"children count \[1, 1, 1, 1\], parent 2"):
+    with pytest.raises(BoundaryZeroError, match=r"children count \[1, 1, 1, 1\], parent 2") as err:
         char_det._collect_roots(prob(0.0), box, 8, None, row)
+    assert err.value.location == box.center
 
     def on_every_split(p, b):
         if b == box:
@@ -802,6 +806,27 @@ def test_a_split_mismatch_retries_with_the_next_attempt(monkeypatch):
     monkeypatch.setattr(char_det, "count_zeros", miscount)
     got = find_det_eigenvalues(p, DEFAULT_BOX, 80)
     # one split on attempt 0, then every split of the search on attempt 1
+    assert fractions[0] == first and fractions[1:]
+    assert set(fractions[1:]) == {char_det._ATTEMPTS[1][1:]}
+    assert_same_roots(got, [(z, 1) for z in want.values])
+
+
+def test_a_negative_child_count_retries_with_the_next_attempt(monkeypatch):
+    # the strip nearest the origin holds two zeros, so the search splits it
+    p = prob(0.5, 1.0, -0.3)
+    want = find_det_eigenvalues(p, DEFAULT_BOX, 80)
+    fractions = spy_splits(monkeypatch)
+    edges = char_det._edge_points
+    first = char_det._ATTEMPTS[0][1:]
+
+    def reversed_on_first_split(box, samples_per_unit):
+        # the children of a split at attempt 0's fractions wind clockwise,
+        # so the one holding a zero counts -1
+        pts = edges(box, samples_per_unit)
+        return pts[::-1] if fractions[-1:] == [first] and box.width < 16.0 else pts
+
+    monkeypatch.setattr(char_det, "_edge_points", reversed_on_first_split)
+    got = find_det_eigenvalues(p, DEFAULT_BOX, 80)
     assert fractions[0] == first and fractions[1:]
     assert set(fractions[1:]) == {char_det._ATTEMPTS[1][1:]}
     assert_same_roots(got, [(z, 1) for z in want.values])
