@@ -59,15 +59,10 @@ from .workbench import (
 )
 from .errors import (
     BoundaryZeroError,
-    BracketingError,
-    DegreeMismatchError,
     InputError,
-    IntegrationError,
     InvspecError,
-    MaxRootsExceededError,
     NumericalError,
     SchemaError,
-    TooFewRootsError,
 )
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ e^{-lam}, one A(lam)), and `count_zeros` is the one winding for all boxes.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .core import (
     horner,
     poly_eval,
 )
-from .errors import BoundaryZeroError, InputError, MaxRootsExceededError, NumericalError
+from .errors import BoundaryZeroError, InputError, NumericalError
 
 __all__ = [
     "BoundaryPolynomialProblem",
@@ -310,22 +311,42 @@ _ATTEMPTS = (
 def _strips(box: SearchBox, shift: float):
     """The box cut at Im = 2 pi (k + 1/2) + shift, nearest the origin first.
 
-    Each entry is (distance from the origin, strip, Newton start), the
-    start being the asymptotic zero ln 2 + 2 pi i k clamped into the strip.
+    Yields (distance from the origin, strip, Newton start), the start being
+    the asymptotic zero ln 2 + 2 pi i k clamped into the strip; ties in
+    distance go to the strip below.  A tall box has millions of strips and
+    a search may stop after a few, so they are made lazily: k walks up and
+    down from the real axis, and a strip is yielded once every strip not
+    yet made lies farther away.
     """
     re0 = min(max(math.log(2.0), box.re_min), box.re_max)
     dx = max(box.re_min, 0.0, -box.re_max)
-    strips = []
     k_lo = math.floor((box.im_min - shift) / _TWO_PI + 0.5)
-    for k in range(k_lo, math.ceil((box.im_max - shift) / _TWO_PI - 0.5) + 1):
+    k_hi = math.ceil((box.im_max - shift) / _TWO_PI - 0.5)
+    up = min(max(0, k_lo), k_hi)
+    down = up - 1
+    heap: list = []
+    while True:
+        # strip k lies at least 2 pi (k - 1/2) + shift above the real axis, or
+        # -(2 pi (k + 1/2) + shift) below it: the first grows with k, the second as k falls
+        above = _TWO_PI * (up - 0.5) + shift if up <= k_hi else math.inf
+        below = -(_TWO_PI * (down + 0.5) + shift) if down >= k_lo else math.inf
+        # math.hypot errs by under 1 ulp, so no strip still to come lies nearer
+        bound = math.hypot(dx, max(min(above, below), 0.0)) * (1.0 - 1e-15)
+        while heap and heap[0][0] < bound:
+            dist, _, _, strip, start = heapq.heappop(heap)
+            yield dist, strip, start
+        if up > k_hi and down < k_lo:
+            return
+        if above <= below:
+            k, up = up, up + 1
+        else:
+            k, down = down, down - 1
         lo = max(box.im_min, _TWO_PI * (k - 0.5) + shift)
         hi = min(box.im_max, _TWO_PI * (k + 0.5) + shift)
         if lo < hi:
             strip = SearchBox(box.re_min, box.re_max, lo, hi)
             start = complex(re0, min(max(_TWO_PI * k, lo), hi))
-            strips.append((math.hypot(dx, max(lo, 0.0, -hi)), strip, start))
-    # ties in distance break to the strip below, so the order is deterministic
-    return sorted(strips, key=lambda e: (e[0], e[1].im_min))
+            heapq.heappush(heap, (math.hypot(dx, max(lo, 0.0, -hi)), lo, k, strip, start))
 
 
 def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, row):
@@ -370,7 +391,9 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, ro
         count = count_zeros(prob, strip)
         total += count
         if total > max_roots:
-            raise MaxRootsExceededError(max_roots, found)
+            raise NumericalError(
+                f"more than max_roots={max_roots} zeros in the box ({len(found)} already located)"
+            )
         if count:
             visit(strip, count, 0, start)
     return found

@@ -11,7 +11,7 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegreeMismatchError, InputError
+from .errors import InputError
 
 # |g|, the scaled determinant, at or below RESIDUAL_TOL counts as a zero;
 # points closer than CLUSTER_RADIUS count as one (duplicate interpolation
@@ -93,7 +93,7 @@ def poly_eval(p: Polynomial, z) -> complex:
 def poly_max_abs_diff(p: Polynomial, q: Polynomial) -> float:
     """Max coefficient-wise absolute difference of two same-degree polynomials."""
     if p.degree != q.degree:
-        raise DegreeMismatchError(
+        raise InputError(
             f"polynomials are incomparable: degrees {p.degree} != {q.degree}"
         )
     return max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs))

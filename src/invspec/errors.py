@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per way a caller reacts to a failure.
 
-Two families matter to callers: :class:`InputError` (bad data, CLI exit
-code 2) and :class:`NumericalError` (a computation that could not be
-completed, CLI exit code 1).
+:class:`InputError` is bad data (CLI exit code 2); :class:`SchemaError` is
+the InputError that names a field path. :class:`NumericalError` is a
+computation that could not be completed (CLI exit code 1).
+:class:`BoundaryZeroError` is the one NumericalError the package catches
+itself: find_det_eigenvalues retries its search with the next attempt.
 """
 
 from __future__ import annotations
@@ -24,33 +26,8 @@ class SchemaError(InputError):
         super().__init__(f"{field}: {message}")
 
 
-class DegreeMismatchError(InputError):
-    """Two polynomials with different declared degrees were compared."""
-
-
 class NumericalError(InvspecError):
     """A numerical procedure failed to reach its contract."""
-
-
-class IntegrationError(NumericalError):
-    """The ODE integrator underflowed its step size."""
-
-    def __init__(self, lam, x: float):
-        self.lam = lam
-        self.x = x
-        super().__init__(f"integrator step underflow at x={x:.6g} for lambda={lam!r}")
-
-
-class BracketingError(NumericalError):
-    """No shot in an eigenvalue's window counted past it, or one below the spectrum did."""
-
-    def __init__(self, index: int, window: tuple[float, float]):
-        self.index = index
-        self.window = window
-        super().__init__(
-            f"could not bracket eigenvalue #{index} in window "
-            f"[{window[0]:.6g}, {window[1]:.6g}]"
-        )
 
 
 class BoundaryZeroError(NumericalError):
@@ -70,28 +47,4 @@ class BoundaryZeroError(NumericalError):
             message
             or f"determinant vanishes on the search-box boundary near {location!r}; "
             "perturb the box by the cluster radius and retry"
-        )
-
-
-class TooFewRootsError(NumericalError):
-    """Root search produced fewer nodes than the reconstruction needs."""
-
-    def __init__(self, needed: int, found):
-        self.needed = needed
-        self.found = tuple(found)
-        super().__init__(
-            f"needed {needed} determinant roots but found {len(self.found)} "
-            "in the search box"
-        )
-
-
-class MaxRootsExceededError(NumericalError):
-    """The box contains more zeros than the caller allowed; partial set attached."""
-
-    def __init__(self, max_roots: int, partial):
-        self.max_roots = max_roots
-        self.partial = tuple(partial)
-        super().__init__(
-            f"more than max_roots={max_roots} zeros in the box "
-            f"({len(self.partial)} already located)"
         )

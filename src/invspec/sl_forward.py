@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .core import RESIDUAL_TOL, Spectrum, as_count, as_finite_float, as_positive_tol
-from .errors import BracketingError, InputError, IntegrationError, NumericalError
+from .errors import InputError, NumericalError
 from .potentials import Potential
 
 __all__ = [
@@ -113,7 +113,7 @@ def _mesh(q: Potential, lam: float, eig_tol: float) -> tuple:
         if bi < len(breaks) and x + h > breaks[bi] - 1e-15:
             h = breaks[bi] - x
         if h < 1e-14:
-            raise IntegrationError(lam, x)
+            raise NumericalError(f"integrator step underflow at x={x:.6g} for lambda={lam!r}")
 
         full = _cell(qf, x, h)
         y1, p1, _, _ = _propagate(full, lam, y, p)
@@ -189,9 +189,9 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
     the stop width from a shot that counted k or k+1 and that lands in the
     bracket, so it cannot settle on a neighbouring eigenvalue; one last
     shot at the step's end is kept if its |y'(1)| is smaller.  Returns
-    (lam, y'(1), y(1)); BracketingError if no shot counted past k, because
-    then lam_k may lie at or above b, and at once when the bracket has shrunk
-    below the stop width onto b that way.
+    (lam, y'(1), y(1)).  Raises NumericalError "could not bracket" if no
+    shot counted past k, because then lam_k may lie at or above b, and at
+    once when the bracket has shrunk below the stop width onto b that way.
     """
     top = b
     for _ in range(100):
@@ -214,7 +214,7 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
             break
         lam += step
     if b == top:
-        raise BracketingError(k, (a, b))
+        raise NumericalError(f"could not bracket eigenvalue #{k} in window [{a:.6g}, {b:.6g}]")
     raise NumericalError(f"eigenvalue #{k} refinement stalled on [{a}, {b}]")
 
 
@@ -226,7 +226,8 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
     the previous eigenvalue (below the whole spectrum for k = 0) to the top
     of a window around that guess.  By min-max, lam_k lies in
     [(k pi)^2 + min q, (k pi)^2 + max q], so the window's half-width
-    total_variation + 1 always holds it; BracketingError says it did not.
+    total_variation + 1 always holds it; a NumericalError "could not
+    bracket" says it did not.
     """
     eig_tol = as_positive_tol(eig_tol, "eig_tol")
     count = as_count(count, "count")
@@ -235,7 +236,7 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
     lo = q.lower_bound() - 1.0
     shoot = functools.partial(_shoot, _mesh(q, lo, eig_tol))
     if shoot(lo)[2] != 0:
-        raise BracketingError(0, (lo, lo))
+        raise NumericalError(f"could not bracket eigenvalue #0 in window [{lo:.6g}, {lo:.6g}]")
 
     values: list[float] = []
     for k in range(count):

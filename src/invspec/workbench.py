@@ -26,7 +26,7 @@ from .core import (
     poly_max_abs_diff,
     spectra_match,
 )
-from .errors import InputError, TooFewRootsError
+from .errors import InputError, NumericalError
 from .fileio import load_potential
 from .reconstruct import reconstruct_coeffs, select_reconstruction_nodes
 from .sl_forward import free_spectrum_verdict, neumann_eigenvalues
@@ -79,8 +79,6 @@ class UniquenessReport:
 
 @dataclass(frozen=True)
 class CompareReport:
-    spectrum_a: Spectrum
-    spectrum_b: Spectrum
     gaps: tuple[float, ...]
     matched: bool
     free_spectrum_a: bool
@@ -89,11 +87,13 @@ class CompareReport:
 
 
 def _roots(prob, cfg: ExperimentConfig, needed: int, nearest=False) -> Spectrum:
-    """The roots in the configured box; TooFewRootsError when it holds fewer than needed."""
+    """The roots in the configured box; NumericalError when it holds fewer than needed."""
     nearest = needed if nearest else None
     roots = find_det_eigenvalues(prob, cfg.search_box, MAX_ROOTS, nearest=nearest)
     if len(roots) < needed:
-        raise TooFewRootsError(needed, roots.values)
+        raise NumericalError(
+            f"needed {needed} determinant roots but found {len(roots)} in the search box"
+        )
     return roots
 
 
@@ -165,8 +165,9 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
     At a zero of the determinant A equals rhs_value, so two distinct
     polynomials of degree s share at most s zeros, and s + 1 zeros
     determine A.  The probe passes iff each spectrum reconstructs its own
-    generator and the pair shares at most s zeros (all of them when the
-    pair is identical).  The bound is tight: a + c (lam - z_1)...(lam - z_s)
+    generator, to a coefficient error of at most 1e-9 max(1, condition),
+    and the pair shares at most s zeros (all of them when the pair is
+    identical).  The bound is tight: a + c (lam - z_1)...(lam - z_s)
     over s zeros z_i of a shares exactly those.
     """
     if a.degree != a_tilde.degree:
@@ -186,7 +187,7 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
     shared = _shared_zeros(a, a_tilde, roots_a, roots_b)
     rep_a = _recover(a, roots_a, start)
     rep_b = _recover(a_tilde, roots_b, start)
-    own = all(r.max_coeff_error <= 1e-6 * max(1.0, r.condition) for r in (rep_a, rep_b))
+    own = all(r.max_coeff_error <= 1e-9 * max(1.0, r.condition) for r in (rep_a, rep_b))
     return UniquenessReport(
         spectra_matched=matched,
         shared_zeros=shared,
@@ -215,8 +216,6 @@ def compare_neumann(path_a, path_b, count: int, match_tol: float) -> CompareRepo
     free_a = free_spectrum_verdict(sa, match_tol)
     free_b = free_spectrum_verdict(sb, match_tol)
     return CompareReport(
-        spectrum_a=sa,
-        spectrum_b=sb,
         gaps=gaps,
         matched=matched,
         free_spectrum_a=free_a,

@@ -11,7 +11,6 @@ from invspec import (
     BoundaryZeroError,
     ExperimentConfig,
     InputError,
-    MaxRootsExceededError,
     NumericalError,
     Polynomial,
     SearchBox,
@@ -373,7 +372,7 @@ def test_find_filters_origin_and_retries_boundary():
 
 
 def test_find_max_roots_exceeded():
-    with pytest.raises(MaxRootsExceededError):
+    with pytest.raises(NumericalError, match=r"more than max_roots=3 zeros in the box \("):
         find_det_eigenvalues(prob(0.0), SearchBox(-1.0, 1.0, -20.0, 20.0), 3)
 
 
@@ -597,8 +596,62 @@ def test_max_roots_counts_zeros_off_the_origin():
     # the box holds 3 zeros and not the origin
     box = SearchBox(-1.0, 1.0, 1.0, 20.0)
     assert len(find_det_eigenvalues(prob(0.0), box, 3)) == 3
-    with pytest.raises(MaxRootsExceededError):
+    with pytest.raises(NumericalError, match="more than max_roots=2 zeros in the box"):
         find_det_eigenvalues(prob(0.0), box, 2)
+
+
+def sorted_strips(box, shift):
+    """Every strip of the box, made at once and sorted by (distance, Im min): the reference."""
+    re0 = min(max(math.log(2.0), box.re_min), box.re_max)
+    dx = max(box.re_min, 0.0, -box.re_max)
+    strips = []
+    k_lo = math.floor((box.im_min - shift) / TWO_PI + 0.5)
+    for k in range(k_lo, math.ceil((box.im_max - shift) / TWO_PI - 0.5) + 1):
+        lo = max(box.im_min, TWO_PI * (k - 0.5) + shift)
+        hi = min(box.im_max, TWO_PI * (k + 0.5) + shift)
+        if lo < hi:
+            start = complex(re0, min(max(TWO_PI * k, lo), hi))
+            strip = SearchBox(box.re_min, box.re_max, lo, hi)
+            strips.append((math.hypot(dx, max(lo, 0.0, -hi)), strip, start))
+    return sorted(strips, key=lambda e: (e[0], e[1].im_min))
+
+
+def test_lazy_strips_keep_the_sorted_order(rng):
+    # far from the imaginary axis the distances of nearby strips round to
+    # the same float, and the tie goes to the strip below
+    shifts = [row[0] for row in char_det._ATTEMPTS]
+    ties = 0
+    for i in range(1000):
+        height = float(rng.choice((1.0, 10.0, 100.0, 1000.0)))
+        im_min = float(rng.uniform(-height, height))
+        if i % 5 == 0:
+            im_min = TWO_PI * (int(rng.integers(-5, 5)) + 0.5)  # on a cut line
+        im_max = im_min + float(rng.uniform(1e-3, 2.0 * height))
+        re_min = float(rng.choice((0.0, 1e3, 1e9, 1e16))) * float(rng.uniform(-1.0, 1.0))
+        re_max = re_min + max(1e-3, abs(re_min) * float(rng.uniform(0.0, 1e-3)))
+        if i % 7 == 0:
+            re_min, re_max = -8.0, 8.0
+        shift = shifts[i % 6] if i % 2 else float(rng.uniform(-50.0, 50.0))
+        box = SearchBox(re_min, re_max, im_min, im_max)
+        want = sorted_strips(box, shift)
+        assert list(char_det._strips(box, shift)) == want, (box, shift)
+        ties += len({d for d, _, _ in want}) < len(want)
+    assert ties >= 50
+
+
+def test_a_tall_box_makes_few_strips_before_max_roots(monkeypatch):
+    # +-1e5 holds 31,831 strips, about one zero in each, and the search stops at the 11th zero
+    made = []
+
+    class Counted(SearchBox):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(char_det, "SearchBox", Counted)
+    with pytest.raises(NumericalError, match="more than max_roots=10 zeros in the box"):
+        find_det_eigenvalues(prob(1.0), SearchBox(-8.0, 8.0, -1e5, 1e5), 10)
+    assert 0 < len(made) < 100
 
 
 def test_nearest_certifies_the_smallest_modulus_roots(rng):

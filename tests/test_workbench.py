@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from invspec import (
     BoundaryPolynomialProblem,
     ExperimentConfig,
     InputError,
+    NumericalError,
     Polynomial,
     SearchBox,
-    TooFewRootsError,
     find_det_eigenvalues,
     roundtrip,
     run_seeded_suite,
@@ -19,7 +20,7 @@ from invspec import workbench
 from invspec.fileio import emit_potential
 from invspec.workbench import DEFAULT_BOX, compare_neumann
 from invspec import ConstantPotential, CosinePotential, GridPotential
-from oracles import fd_neumann_eigenvalues
+from oracles import fd_neumann_eigenvalues, tight_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,7 +60,7 @@ def test_roundtrip_degree_must_fit_range():
 
 def test_roundtrip_too_few_roots():
     cfg = ExperimentConfig(search_box=SearchBox(0.1, 0.2, 0.1, 0.2), degree_range=(0, 0))
-    with pytest.raises(TooFewRootsError):
+    with pytest.raises(NumericalError, match="needed 1 determinant roots but found 0 in the"):
         roundtrip(Polynomial((0.0,)), cfg)
 
 
@@ -74,7 +75,7 @@ def test_roundtrip_small_box_raises_after_one_search(monkeypatch):
 
     monkeypatch.setattr(workbench, "find_det_eigenvalues", counted)
     box = SearchBox(-0.1, 0.1, -0.1, 0.1)
-    with pytest.raises(TooFewRootsError, match="needed 1 determinant roots but found 0 in the"):
+    with pytest.raises(NumericalError, match="needed 1 determinant roots but found 0 in the"):
         roundtrip(Polynomial((0.0,)), ExperimentConfig(search_box=box, degree_range=(0, 0)))
     assert searches == [box]
 
@@ -143,6 +144,28 @@ def test_uniqueness_far_zeros_close_in_distance_are_not_shared():
     report = uniqueness_probe(a, b, ExperimentConfig())
     assert report.shared_zeros == 0
     assert report.passed
+
+
+def test_uniqueness_fails_a_tight_pair_recovered_with_an_error(monkeypatch):
+    # both recoveries of this s = 3 pair have condition above 2000, so an
+    # own-recovery rule of 1e-6 x condition would accept an error of 1e-3
+    a, b = (Polynomial(c) for c in tight_pair(np.random.default_rng(0), 3))
+    report = uniqueness_probe(a, b, ExperimentConfig())
+    assert report.passed and report.shared_zeros == 3
+    recover = workbench.reconstruct_coeffs
+
+    def off_by_1e_3(nodes):
+        rec = recover(nodes)
+        shifted = Polynomial(tuple(c + 1e-3 for c in rec.coefficients.coeffs))
+        return dataclasses.replace(rec, coefficients=shifted)
+
+    monkeypatch.setattr(workbench, "reconstruct_coeffs", off_by_1e_3)
+    report = uniqueness_probe(a, b, ExperimentConfig())
+    assert report.shared_zeros == 3
+    errors = (report.max_coeff_error_a, report.max_coeff_error_b)
+    assert max(errors) <= 1e-6 * min(report.condition_a, report.condition_b)
+    assert min(errors) >= 1e-3
+    assert not report.passed
 
 
 def test_uniqueness_rejects_close_but_distinct():
