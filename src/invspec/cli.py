@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -168,15 +169,10 @@ def _cmd_uniqueness(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = compare_neumann(args.potential_a, args.potential_b, args.count, args.tol)
-    doc = {
-        "gaps": list(report.gaps),
-        "matched": report.matched,
-        "free_spectrum_a": report.free_spectrum_a,
-        "free_spectrum_b": report.free_spectrum_b,
-        "zero_potential_flag": report.zero_potential_flag,
-    }
-    sys.stdout.write(dump_json(doc))
+    qa = load_potential(args.potential_a)
+    qb = load_potential(args.potential_b)
+    report = compare_neumann(qa, qb, args.count, args.tol)
+    sys.stdout.write(dump_json(dataclasses.asdict(report)))
     for i, gap in enumerate(report.gaps):
         print(f"index {i}: gap {gap:.6e}", file=sys.stderr)
     print("spectra match:", report.matched, file=sys.stderr)
@@ -186,6 +182,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invspec",

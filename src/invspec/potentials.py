@@ -4,7 +4,10 @@ Four representations: constant, piecewise-linear grid, single cosine mode,
 and polynomial in x.  All are immutable and evaluate to real values.  Each
 kind writes its formula twice: once as the scalar call q(x), which the
 forward solver's mesh builder uses, and once as the vectorized
-`sample(xs)`, for the Simpson mean and other array work.
+`sample(xs)`, for the Simpson mean and other array work.  Each also gives
+one enclosure, `bounds()`, of q on [0, 1], from which the forward solver
+brackets every eigenvalue: exact for the constant, grid and cosine kinds,
+sampled and padded for polynomials.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class Potential:
-    """Common interface: scalar call, vectorized sample, and solver hooks."""
+    """Common interface: scalar call, vectorized sample, breakpoints and enclosure."""
 
     kind = "abstract"
 
@@ -46,12 +49,12 @@ class Potential:
         """Interior kink locations the integrator should land on exactly."""
         return ()
 
-    def total_variation(self) -> float:
-        """Integral of |q'| over [0,1]; sets each eigenvalue's search window and the sanity gate."""
-        raise NotImplementedError
+    def bounds(self) -> tuple[float, float]:
+        """(lower, upper) with lower <= q(x) <= upper on [0, 1].
 
-    def lower_bound(self) -> float:
-        """A value <= min q(x); used to start eigenvalue bracketing."""
+        By min-max, lam_k lies in [(k pi)^2 + lower, (k pi)^2 + upper]: the
+        forward solver brackets each eigenvalue with this enclosure.
+        """
         raise NotImplementedError
 
 
@@ -70,11 +73,8 @@ class ConstantPotential(Potential):
     def __call__(self, x):
         return self.value
 
-    def total_variation(self) -> float:
-        return 0.0
-
-    def lower_bound(self) -> float:
-        return self.value
+    def bounds(self) -> tuple[float, float]:
+        return self.value, self.value
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,8 @@ class GridPotential(Potential):
     def breakpoints(self) -> tuple[float, ...]:
         return self.nodes[1:-1]
 
-    def total_variation(self) -> float:
-        return float(sum(abs(b - a) for a, b in zip(self.values, self.values[1:])))
-
-    def lower_bound(self) -> float:
-        return min(self.values)
+    def bounds(self) -> tuple[float, float]:
+        return min(self.values), max(self.values)
 
 
 @dataclass(frozen=True)
@@ -148,14 +145,10 @@ class CosinePotential(Potential):
     def __call__(self, x):
         return self.amplitude * math.cos(TWO_PI * self.frequency * x)
 
-    def total_variation(self) -> float:
-        # integral of |A * 2 pi k sin(2 pi k x)| over one unit = 4 |A| k
-        return 4.0 * abs(self.amplitude) * self.frequency
-
-    def lower_bound(self) -> float:
+    def bounds(self) -> tuple[float, float]:
         if self.frequency == 0:
-            return self.amplitude
-        return -abs(self.amplitude)
+            return self.amplitude, self.amplitude
+        return -abs(self.amplitude), abs(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -180,12 +173,9 @@ class PolyPotential(Potential):
     def __call__(self, x):
         return horner(self.coeffs, x)
 
-    def total_variation(self) -> float:
-        deriv = tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:]))
-        if not deriv:
-            return 0.0
-        xs = np.linspace(0.0, 1.0, 513)
-        return float(np.trapezoid(np.abs(horner(deriv, xs)), xs))
-
-    def lower_bound(self) -> float:
-        return float(self.sample(np.linspace(0.0, 1.0, 513)).min()) - 1.0
+    def bounds(self) -> tuple[float, float]:
+        # the extremes of 513 samples, padded by 1: an extremum between
+        # samples h = 1/512 apart exceeds them by at most h^2/8 max|q''|,
+        # which stays below 1 while |q''| <= 8 / h^2 (about 2e6)
+        vals = self.sample(np.linspace(0.0, 1.0, 513))
+        return float(vals.min()) - 1.0, float(vals.max()) + 1.0

@@ -154,7 +154,7 @@ def _shoot(cells, lam: float):
 
 def _one_shot(q: Potential, lam: float):
     """A shot on neumann_eigenvalues' mesh, or on one built at lam when lam lies below it."""
-    return _shoot(_mesh(q, min(lam, q.lower_bound() - 1.0), EIG_TOL), lam)
+    return _shoot(_mesh(q, min(lam, q.bounds()[0] - 1.0), EIG_TOL), lam)
 
 
 def shoot_miss(q: Potential, lam: float) -> float:
@@ -186,12 +186,15 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
     y'(1) y(1) / M.  Each shot's count moves one end of the bracket (a
     count <= k puts lam_k at or above the shot), and a step that would
     leave the bracket bisects instead.  The search stops at a step below
-    the stop width from a shot that counted k or k+1 and that lands in the
-    bracket, so it cannot settle on a neighbouring eigenvalue; one last
-    shot at the step's end is kept if its |y'(1)| is smaller.  Returns
-    (lam, y'(1), y(1)).  Raises NumericalError "could not bracket" if no
-    shot counted past k, because then lam_k may lie at or above b, and at
-    once when the bracket has shrunk below the stop width onto b that way.
+    the stop width that lands in the bracket, from a shot that counted k
+    (lam_{k-1} < lam <= lam_k) or from one that counted k + 1 and steps
+    down (lam_k < lam <= lam_{k+1}), so it cannot settle on a neighbouring
+    eigenvalue; one last shot at the step's end is kept if its |y'(1)| is
+    smaller.  Returns (lam, y'(1), y(1)).  Raises NumericalError "could
+    not bracket" when no shot counted past k, since lam_k may then lie at
+    or above b: at once if the bracket has shrunk onto b below the stop
+    width and a shot at b counts k or fewer too, else after the last
+    iteration.
     """
     top = b
     for _ in range(100):
@@ -205,13 +208,15 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
             b = lam
         # eig_tol is a relative stop target; it saturates to absolute near zero
         width = max(eig_tol, 8.0 * _EPS) * max(1.0, abs(a), abs(b))
-        if abs(step) <= width and k <= n <= k + 1 and a <= lam + step <= b:
+        if abs(step) <= width and (n == k or (n == k + 1 and step < 0.0)) and a <= lam + step <= b:
             if lam + step == lam:
                 return lam, f, y
             f2, y2, _, _ = shoot(lam + step)
             return (lam + step, f2, y2) if abs(f2) < abs(f) else (lam, f, y)
         if b == top and b - a <= width:
-            break
+            if shoot(top)[2] <= k:
+                break
+            top = math.inf  # lam_k lies below b after all
         lam += step
     if b == top:
         raise NumericalError(f"could not bracket eigenvalue #{k} in window [{a:.6g}, {b:.6g}]")
@@ -221,28 +226,28 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
 def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> Spectrum:
     """First `count` Neumann eigenvalues of -y'' + q y = lam y, each of multiplicity 1.
 
-    Each eigenvalue is found by safeguarded Newton on y'(1), started at the
-    asymptotic guess (k pi)^2 + mean q, inside the bracket from just above
-    the previous eigenvalue (below the whole spectrum for k = 0) to the top
-    of a window around that guess.  By min-max, lam_k lies in
-    [(k pi)^2 + min q, (k pi)^2 + max q], so the window's half-width
-    total_variation + 1 always holds it; a NumericalError "could not
-    bracket" says it did not.
+    By min-max (Courant and Hilbert, Methods of Mathematical Physics I,
+    ch. VI), lam_k lies in [(k pi)^2 + lower, (k pi)^2 + upper] for
+    (lower, upper) = q.bounds().  Each eigenvalue is found by safeguarded
+    Newton on y'(1), started at the asymptotic guess (k pi)^2 + mean q,
+    inside the bracket from just above the previous eigenvalue (from
+    lower - 1 for k = 0) to (k pi)^2 + upper + 1, and must come out at or
+    above (k pi)^2 + lower - 1.  A NumericalError "could not bracket" or
+    "below its min-max enclosure" says that the enclosure did not hold it.
     """
     eig_tol = as_positive_tol(eig_tol, "eig_tol")
     count = as_count(count, "count")
     qbar = mean_value(q)
-    margin = max(2.0, q.total_variation() + 1.0)
-    lo = q.lower_bound() - 1.0
+    lower, upper = q.bounds()
+    lo = lower - 1.0
     shoot = functools.partial(_shoot, _mesh(q, lo, eig_tol))
     if shoot(lo)[2] != 0:
         raise NumericalError(f"could not bracket eigenvalue #0 in window [{lo:.6g}, {lo:.6g}]")
 
     values: list[float] = []
     for k in range(count):
-        guess = (k * math.pi) ** 2 + qbar
-        top = max(guess + margin, lo + 1.0)
-        lam_k, f_k, y_end = _newton_refine(shoot, k, lo, top, guess, eig_tol)
+        free = (k * math.pi) ** 2
+        lam_k, f_k, y_end = _newton_refine(shoot, k, lo, free + upper + 1.0, free + qbar, eig_tol)
 
         # a wider stop leaves y'(1) proportionally further from zero
         floor = RESIDUAL_TOL * (1.0 + abs(y_end) + abs(lam_k)) * max(1.0, eig_tol / EIG_TOL)
@@ -252,17 +257,13 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
             )
         if values and lam_k <= values[-1]:
             raise NumericalError(f"eigenvalue #{k} not above its predecessor")
+        if lam_k < free + lower - 1.0:
+            raise NumericalError(
+                f"eigenvalue #{k} = {lam_k:.6g} lies below its min-max enclosure "
+                f"[{free + lower:.6g}, {free + upper:.6g}]"
+            )
         values.append(lam_k)
         lo = lam_k + max(4.0 * eig_tol, 1e-10 * (1.0 + abs(lam_k)))
-
-    gate = max(1.0, q.total_variation())
-    for n in range(5, count):
-        drift = abs(values[n] - (n * math.pi) ** 2 - qbar)
-        if drift > gate:
-            raise NumericalError(
-                f"eigenvalue #{n} violates the asymptotic sanity gate "
-                f"(drift {drift:.3e} > {gate:.3e})"
-            )
     return Spectrum(tuple((v, 1) for v in values))
 
 

@@ -27,7 +27,7 @@ from .core import (
     spectra_match,
 )
 from .errors import InputError, NumericalError
-from .fileio import load_potential
+from .potentials import Potential
 from .reconstruct import reconstruct_coeffs, select_reconstruction_nodes
 from .sl_forward import free_spectrum_verdict, neumann_eigenvalues
 
@@ -199,16 +199,14 @@ def uniqueness_probe(a: Polynomial, a_tilde: Polynomial, cfg: ExperimentConfig) 
     )
 
 
-def compare_neumann(path_a, path_b, count: int, match_tol: float) -> CompareReport:
-    """Compare the Neumann spectra of two potential files.
+def compare_neumann(qa: Potential, qb: Potential, count: int, match_tol: float) -> CompareReport:
+    """Compare the Neumann spectra of two potentials.
 
     Reports per-index gaps and, when both spectra sit on the free spectrum
     within match_tol, raises the zero-potential flag: agreement with the
     free spectrum forces a vanishing potential.
     """
     match_tol = as_positive_tol(match_tol, "match_tol")
-    qa = load_potential(path_a)
-    qb = load_potential(path_b)
     sa = neumann_eigenvalues(qa, count)
     sb = neumann_eigenvalues(qb, count)
     gaps = tuple(abs(x - y) for x, y in zip(sa.values, sb.values))

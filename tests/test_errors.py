@@ -52,7 +52,7 @@ def step_underflow(monkeypatch, tmp_path):
 
 def bracketing(monkeypatch, tmp_path):
     # a lower bound above lam_0 = 0 leaves no shot below the spectrum
-    monkeypatch.setattr(ConstantPotential, "lower_bound", lambda self: self.value + 5.0)
+    monkeypatch.setattr(ConstantPotential, "bounds", lambda self: (self.value + 5.0,) * 2)
     q = ConstantPotential(0.0)
     argv = ["eigen", "--potential", _potential_file(tmp_path, q), "--count", "1"]
     return lambda: neumann_eigenvalues(q, 1), argv

@@ -39,17 +39,32 @@ def test_interface_defaults():
     q = ConstantPotential(2.5)
     assert q(0.3) == 2.5
     assert q.breakpoints() == ()
-    # a cosine of frequency 0 is the constant amplitude, a degree-0 polynomial has no variation
-    assert CosinePotential(-1.5, 0).lower_bound() == -1.5
-    assert PolyPotential((3.0,)).total_variation() == 0.0
+    # a cosine of frequency 0 is the constant amplitude; a polynomial's
+    # sampled extremes are padded by 1
+    assert CosinePotential(-1.5, 0).bounds() == (-1.5, -1.5)
+    assert PolyPotential((3.0,)).bounds() == (2.0, 4.0)
     base = Potential()
-    for hook in (base.total_variation, base.lower_bound):
-        with pytest.raises(NotImplementedError):
-            hook()
+    with pytest.raises(NotImplementedError):
+        base.bounds()
     with pytest.raises(NotImplementedError):
         base(0.5)
     with pytest.raises(NotImplementedError):
         base.sample(np.zeros(2))
+
+
+def test_bounds_enclose_q(rng):
+    # lower <= q(x) <= upper on a grid ten times finer than a polynomial's
+    # sampling, for each kind, with values up to 200
+    xs = np.linspace(0.0, 1.0, 10001)
+    seen = set()
+    for bound in (2.0, 200.0):
+        for _ in range(50):
+            q = seeded_potential_mix(rng, bound=bound)
+            seen.add(q.kind)
+            lower, upper = q.bounds()
+            vals = q.sample(xs)
+            assert lower <= vals.min() and vals.max() <= upper, q
+    assert seen == {"constant", "grid", "cosine", "poly_in_x"}
 
 
 def test_scalar_call_agrees_with_sample(rng):

@@ -268,14 +268,13 @@ def test_mean_value_simpson():
 
 
 def test_asymptotic_sanity_gate(rng):
-    # drift of high eigenvalues from (n pi)^2 + mean stays under the loose gate
+    # lam_k in [(k pi)^2 + lower, (k pi)^2 + upper], up to the solver's error
     for _ in range(3):
         q = seeded_potential_mix(rng)
-        spec = neumann_eigenvalues(q, 9)
-        qbar = mean_value(q)
-        gate = max(1.0, q.total_variation())
-        for n in range(5, 9):
-            assert abs(spec.values[n] - (n * math.pi) ** 2 - qbar) <= gate
+        lower, upper = q.bounds()
+        for k, lam in enumerate(neumann_eigenvalues(q, 9).values):
+            slack = 1e-9 * max(1.0, abs(lam))
+            assert (k * math.pi) ** 2 + lower - slack <= lam <= (k * math.pi) ** 2 + upper + slack
 
 
 def strong_potentials(rng):
@@ -328,7 +327,7 @@ def test_free_spectrum_verdict_needs_entries():
 def test_far_below_the_spectrum_caps_growth_and_renormalizes():
     # q - lam = 1e8: the growth cap 80/sqrt(q - lam) sets every cell, and y,
     # which grows like e^(1e4) across [0, 1], stays finite by renormalization.
-    # A shot below lower_bound - 1 builds its mesh at its own lam
+    # A shot below lower - 1 builds its mesh at its own lam
     q = ConstantPotential(0.0)
     cells = sl_forward._mesh(q, -1e8, sl_forward.EIG_TOL)
     assert max(h for h, _, _ in cells) <= 80.0 / 1e4
@@ -347,17 +346,17 @@ def test_step_underflow(monkeypatch):
 
 
 class LyingLowerBound(ConstantPotential):
-    def lower_bound(self) -> float:
-        return max(self.value + 5.0, 0.0)
+    def bounds(self) -> tuple[float, float]:
+        return max(self.value + 5.0, 0.0), self.value
 
 
-class UnderReportedVariation(CosinePotential):
-    def total_variation(self) -> float:
-        return 0.0
+class UnderstatedUpperBound(CosinePotential):
+    def bounds(self) -> tuple[float, float]:
+        return -abs(self.amplitude), 1.0
 
 
 def test_a_lying_lower_bound_raises():
-    # the count at lower_bound - 1 must be 0: here it is 1 (lam_0 = 0 < 4),
+    # the count at lower - 1 must be 0: here it is 1 (lam_0 = 0 < 4),
     # and 1 again for lam_0 = -1e5 below the start -1
     with pytest.raises(NumericalError, match="could not bracket eigenvalue #0 in window"):
         neumann_eigenvalues(LyingLowerBound(0.0), 1)
@@ -366,10 +365,10 @@ def test_a_lying_lower_bound_raises():
 
 
 def test_a_window_that_misses_raises_after_the_eigenvalues_below_it():
-    # the bracket for lam_k runs from lo, so a window of half-width 2 around
-    # (k pi)^2 + mean q = (k pi)^2 still holds lam_0 and lam_1 below it; it
-    # misses lam_2 near 75.7, above its top 4 pi^2 + 2
-    q = UnderReportedVariation(200.0, 1)
+    # the bracket for lam_k runs from lo to (k pi)^2 + upper + 1, so an upper
+    # bound of 1 still holds lam_0 and lam_1 below the top; it misses lam_2
+    # near 75.7, above its top 4 pi^2 + 2
+    q = UnderstatedUpperBound(200.0, 1)
     got = neumann_eigenvalues(q, 2).values
     assert max(abs(a - b) for a, b in zip(got, fd_neumann_eigenvalues(q, 2))) <= 1e-6
     with pytest.raises(NumericalError, match="could not bracket eigenvalue #2 in window"):
@@ -386,12 +385,17 @@ def test_residual_floor_and_predecessor_checks(monkeypatch):
         neumann_eigenvalues(q, 2)
 
 
-def test_asymptotic_sanity_gate_fires(monkeypatch):
-    # a mean off by 1.5 moves every guess by 1.5: inside the window of
-    # half-width 2, outside the gate of 1
-    monkeypatch.setattr(sl_forward, "mean_value", lambda q: 1.5)
-    with pytest.raises(NumericalError, match="#5 violates the asymptotic sanity gate"):
-        neumann_eigenvalues(ConstantPotential(0.0), 6)
+class OverstatedLowerBound(CosinePotential):
+    def bounds(self) -> tuple[float, float]:
+        return -30.0, 150.0
+
+
+def test_asymptotic_sanity_gate_fires():
+    # lam_0 = -29.53 clears the start lower - 1 = -31, but lam_1 = -22.57 lies
+    # below pi^2 - 30 - 1 = -21.13
+    match = r"eigenvalue #1 = -22.5688 lies below its min-max enclosure \[-20.1304, 159.87\]"
+    with pytest.raises(NumericalError, match=match):
+        neumann_eigenvalues(OverstatedLowerBound(150.0, 3), 2)
 
 
 def fake_shoot(*results):
@@ -438,10 +442,53 @@ def test_a_small_step_out_of_the_bracket_bisects():
     assert shots == [2.0, 1.0]
 
 
+def test_a_shot_above_lam_k_stops_only_on_a_step_down():
+    # a count of k + 1 puts the shot in (lam_k, lam_{k+1}], where a step up
+    # leads to lam_{k+1}.  At 2 the step 1e-17 rounds away, so 2 + step ==
+    # 2 == b: the search bisects [0, 2] instead of returning 2
+    shoot, shots = fake_shoot((1e-17, 1.0, 1, 1.0), (0.0, 1.0, 0, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10) == (1.0, 0.0, 1.0)
+    assert shots == [2.0, 1.0]
+    # the same shot stepping down stops
+    shoot, shots = fake_shoot((-1e-17, 1.0, 1, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10) == (2.0, -1e-17, 1.0)
+
+
+def test_a_loose_stop_returns_lam_k_not_lam_k_plus_1():
+    # at tol 1e-4 a shot for lam_4 lands on lam_5 = 261.014 and counts 5,
+    # with a step of +8.5e-15 that rounds away: it must not stop the search
+    q = CosinePotential(150.0, 3)
+    tight = neumann_eigenvalues(q, 5).values
+    loose = neumann_eigenvalues(q, 5, 1e-4).values
+    assert max(abs(a - b) / abs(b) for a, b in zip(loose, tight)) <= 1e-4
+
+
+def test_a_bracket_under_the_stop_width_shoots_its_top_before_giving_up():
+    # at eig_tol 2 the stop width 8 exceeds the whole bracket [2, 4]; the
+    # shot at the top counts 1, so lam_0 lies below it and the search goes
+    # on: the step 100 leaves the bracket and bisects to 3
+    shoot, shots = fake_shoot((1.0, 1.0, 0, 0.01), (1.0, 1.0, 1, 1.0), (0.0, 1.0, 0, 1.0))
+    assert sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 2.0) == (3.0, 0.0, 1.0)
+    assert shots == [2.0, 4.0, 3.0]
+
+
+def test_loose_tolerances_bracket_every_eigenvalue():
+    # at eig_tol 2 the stop width covers lam_4's whole window, so only a shot
+    # at the top tells whether lam_4 lies below it; each value must lie
+    # between its neighbours
+    q = CosinePotential(150.0, 3)
+    tight = neumann_eigenvalues(q, 13).values
+    for tol in (0.5, 2.0):
+        got = neumann_eigenvalues(q, 12, tol).values
+        assert got[0] < tight[1]
+        for k in range(1, 12):
+            assert tight[k - 1] < got[k] < tight[k + 1], (tol, k)
+
+
 def test_a_window_top_that_counts_too_few_raises():
     # no shot ever counts past k, so lam_0 may lie above the window's top;
     # the search gives up once the bracket under the top is below the stop
-    # width, about 33 halvings of [3, 4]
+    # width, about 33 halvings of [3, 4], and a shot at the top counts 0 too
     shoot, shots = fake_shoot(*[(1.0, 1.0, 0, 1.0)] * 100)
     with pytest.raises(NumericalError, match="could not bracket eigenvalue #0 in window"):
         sl_forward._newton_refine(shoot, 0, 0.0, 4.0, 2.0, 1e-10)

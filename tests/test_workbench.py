@@ -17,18 +17,11 @@ from invspec import (
     uniqueness_probe,
 )
 from invspec import workbench
-from invspec.fileio import emit_potential
 from invspec.workbench import DEFAULT_BOX, compare_neumann
 from invspec import ConstantPotential, CosinePotential, GridPotential
 from oracles import fd_neumann_eigenvalues, tight_pair
 
 TWO_PI = 2.0 * math.pi
-
-
-def write_potential(tmp_path, name, q):
-    path = tmp_path / name
-    path.write_text(emit_potential(q))
-    return path
 
 
 def test_roundtrip_zero_polynomial():
@@ -176,34 +169,28 @@ def test_uniqueness_rejects_close_but_distinct():
         uniqueness_probe(Polynomial((1.0,)), Polynomial((1.0, 0.0)), cfg)
 
 
-def test_compare_identical_zero_potentials(tmp_path):
-    pa = write_potential(tmp_path, "a.json", ConstantPotential(0.0))
-    pb = write_potential(tmp_path, "b.json", ConstantPotential(0.0))
-    report = compare_neumann(pa, pb, 5, 1e-6)
+def test_compare_identical_zero_potentials():
+    report = compare_neumann(ConstantPotential(0.0), ConstantPotential(0.0), 5, 1e-6)
     assert report.matched
     assert report.zero_potential_flag
     assert max(report.gaps) <= 1e-10
 
 
-def test_compare_shifted_constant(tmp_path):
-    pa = write_potential(tmp_path, "a.json", ConstantPotential(0.0))
-    pb = write_potential(tmp_path, "b.json", ConstantPotential(0.5))
-    report = compare_neumann(pa, pb, 5, 1e-6)
+def test_compare_shifted_constant():
+    report = compare_neumann(ConstantPotential(0.0), ConstantPotential(0.5), 5, 1e-6)
     assert not report.matched
     assert not report.zero_potential_flag
     assert max(abs(g - 0.5) for g in report.gaps) <= 1e-8
 
 
-def test_compare_cosine_against_sampled_grid(tmp_path):
+def test_compare_cosine_against_sampled_grid():
     # 101-point piecewise-linear sampling shifts the second eigenvalue by
     # about h^2 (2 pi)^2 / 24 ~ 1.6e-4; the dense oracle confirms the gaps,
     # so the match tolerance is frozen from that bound
     qc = CosinePotential(1.0, 1)
     nodes = tuple(np.linspace(0.0, 1.0, 101))
     qg = GridPotential(nodes, tuple(float(v) for v in qc.sample(np.array(nodes))))
-    pa = write_potential(tmp_path, "cos.json", qc)
-    pb = write_potential(tmp_path, "grid.json", qg)
-    report = compare_neumann(pa, pb, 6, 2.5e-4)
+    report = compare_neumann(qc, qg, 6, 2.5e-4)
     assert report.matched
     oracle_gaps = np.abs(
         fd_neumann_eigenvalues(qc, 6) - fd_neumann_eigenvalues(qg, 6)
