@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +60,14 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class BoundaryPolynomialProblem:
-    """The determinant problem for one boundary polynomial."""
+    """The determinant problem for one boundary polynomial; A' is derived once."""
 
     poly: Polynomial
+    deriv_coeffs: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        coeffs = self.poly.coeffs[1:]
+        object.__setattr__(self, "deriv_coeffs", tuple(k * c for k, c in enumerate(coeffs, 1)))
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,8 @@ def _exp_terms(lam):
 def _g_and_slope(prob: BoundaryPolynomialProblem, lam):
     """g and g' at a scalar or an array, from one _exp_terms call and one A(lam)."""
     lam, em, g1, g1p = _exp_terms(lam)
-    coeffs = prob.poly.coeffs
-    a_val, tail = horner(coeffs, lam), 2.0 * em - 1.0
-    # A' as a plain list: building a validated Polynomial cost more than g' itself
-    ap_val = horner([k * c for k, c in enumerate(coeffs)][1:], lam)
+    a_val, tail = horner(prob.poly.coeffs, lam), 2.0 * em - 1.0
+    ap_val = horner(prob.deriv_coeffs, lam)
     return g1 + a_val * tail, g1p + ap_val * tail - 2.0 * a_val * em
 
 

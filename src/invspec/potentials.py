@@ -2,12 +2,12 @@
 
 Four representations: constant, piecewise-linear grid, single cosine mode,
 and polynomial in x.  All are immutable and evaluate to real values.  Each
-kind writes its formula twice: once as the scalar call q(x), which the
-forward solver's mesh builder uses, and once as the vectorized
-`sample(xs)`, for the Simpson mean and other array work.  Each also gives
-one enclosure, `bounds()`, of q on [0, 1], from which the forward solver
-brackets every eigenvalue: exact for the constant, grid and cosine kinds,
-sampled and padded for polynomials.
+kind writes its formula once, as the scalar call q(x): the forward solver's
+mesh builder reads q only through it, and takes the mean of q from the
+mesh it builds.  Each also gives one enclosure, `bounds()`, of q on
+[0, 1], from which the forward solver brackets every eigenvalue: exact for
+the constant, grid and cosine kinds, sampled and padded by a bound on the
+curvature for polynomials.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ TWO_PI = 2.0 * math.pi
 
 
 class Potential:
-    """Common interface: scalar call, vectorized sample, breakpoints and enclosure."""
+    """Common interface: scalar call, breakpoints and enclosure."""
 
     kind = "abstract"
 
     def __call__(self, x: float) -> float:
         """q(x) at one abscissa."""
-        raise NotImplementedError
-
-    def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a numpy array of abscissae."""
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -66,9 +62,6 @@ class ConstantPotential(Potential):
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_finite_float(self.value, "constant value"))
-
-    def sample(self, xs):
-        return np.full_like(np.asarray(xs, dtype=float), self.value)
 
     def __call__(self, x):
         return self.value
@@ -105,9 +98,6 @@ class GridPotential(Potential):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
-    def sample(self, xs):
-        return np.interp(np.asarray(xs, dtype=float), self.nodes, self.values)
-
     def __call__(self, x):
         nodes, values = self.nodes, self.values
         if x <= 0.0:
@@ -139,9 +129,6 @@ class CosinePotential(Potential):
         object.__setattr__(self, "amplitude", as_finite_float(self.amplitude, "amplitude"))
         object.__setattr__(self, "frequency", as_count(self.frequency, "frequency", 0))
 
-    def sample(self, xs):
-        return self.amplitude * np.cos(TWO_PI * self.frequency * np.asarray(xs, dtype=float))
-
     def __call__(self, x):
         return self.amplitude * math.cos(TWO_PI * self.frequency * x)
 
@@ -167,15 +154,15 @@ class PolyPotential(Potential):
             raise InputError("polynomial potential needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def sample(self, xs):
-        return horner(self.coeffs, np.asarray(xs, dtype=float))
-
     def __call__(self, x):
         return horner(self.coeffs, x)
 
     def bounds(self) -> tuple[float, float]:
-        # the extremes of 513 samples, padded by 1: an extremum between
-        # samples h = 1/512 apart exceeds them by at most h^2/8 max|q''|,
-        # which stays below 1 while |q''| <= 8 / h^2 (about 2e6)
-        vals = self.sample(np.linspace(0.0, 1.0, 513))
-        return float(vals.min()) - 1.0, float(vals.max()) + 1.0
+        # the extremes of 513 samples h = 1/512 apart, padded: an extremum
+        # between samples exceeds them by at most h^2/8 max|q''|, and on
+        # [0, 1] |q''| <= sum k (k - 1) |c_k|; the pad is twice that, and 1
+        # at least
+        vals = horner(self.coeffs, np.linspace(0.0, 1.0, 513))
+        curv = sum(k * (k - 1) * abs(c) for k, c in enumerate(self.coeffs))
+        pad = max(1.0, curv / (4.0 * 512.0**2))
+        return float(vals.min()) - pad, float(vals.max()) + pad

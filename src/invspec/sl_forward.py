@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from .core import RESIDUAL_TOL, Spectrum, as_count, as_finite_float, as_positive_tol
 from .errors import InputError, NumericalError
 from .potentials import Potential
@@ -167,14 +165,14 @@ def eigenvalue_count_below(q: Potential, mu: float) -> int:
     return _one_shot(q, as_finite_float(mu, "mu"))[2]
 
 
+def _cells_mean(cells) -> float:
+    """Integral of q over [0, 1], h times mean q summed over cells that land on every kink."""
+    return math.fsum(h * qm for h, qm, _ in cells)
+
+
 def mean_value(q: Potential) -> float:
-    """Integral of q over [0,1] by composite Simpson on a 2001-point grid."""
-    xs = np.linspace(0.0, 1.0, 2001)
-    vals = np.asarray(q.sample(xs), dtype=float)
-    w = np.ones(2001)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((w @ vals) / (3.0 * 2000))
+    """Integral of q over [0,1], from the cells neumann_eigenvalues(q, n) builds."""
+    return _cells_mean(_mesh(q, q.bounds()[0] - 1.0, EIG_TOL))
 
 
 def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float):
@@ -186,15 +184,15 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
     y'(1) y(1) / M.  Each shot's count moves one end of the bracket (a
     count <= k puts lam_k at or above the shot), and a step that would
     leave the bracket bisects instead.  The search stops at a step below
-    the stop width that lands in the bracket, from a shot that counted k
-    (lam_{k-1} < lam <= lam_k) or from one that counted k + 1 and steps
-    down (lam_k < lam <= lam_{k+1}), so it cannot settle on a neighbouring
-    eigenvalue; one last shot at the step's end is kept if its |y'(1)| is
-    smaller.  Returns (lam, y'(1), y(1)).  Raises NumericalError "could
-    not bracket" when no shot counted past k, since lam_k may then lie at
-    or above b: at once if the bracket has shrunk onto b below the stop
-    width and a shot at b counts k or fewer too, else after the last
-    iteration.
+    the stop width, eig_tol times max(1, |lam|) at the shot, that lands in
+    the bracket, from a shot that counted k (lam_{k-1} < lam <= lam_k) or
+    from one that counted k + 1 and steps down (lam_k < lam <= lam_{k+1}),
+    so it cannot settle on a neighbouring eigenvalue; one last shot at the
+    step's end is kept if its |y'(1)| is smaller.  Returns
+    (lam, y'(1), y(1)).  Raises NumericalError "could not bracket" when no
+    shot counted past k, since lam_k may then lie at or above b: at once
+    if the bracket has shrunk onto b below the stop width and a shot at b
+    counts k or fewer too, else after the last iteration.
     """
     top = b
     for _ in range(100):
@@ -206,8 +204,9 @@ def _newton_refine(shoot, k: int, a: float, b: float, lam: float, eig_tol: float
             a = lam
         else:
             b = lam
-        # eig_tol is a relative stop target; it saturates to absolute near zero
-        width = max(eig_tol, 8.0 * _EPS) * max(1.0, abs(a), abs(b))
+        # relative to the iterate, not to the bracket's ends, which can lie
+        # far from lam_k; it saturates to absolute near zero
+        width = max(eig_tol, 8.0 * _EPS) * max(1.0, abs(lam))
         if abs(step) <= width and (n == k or (n == k + 1 and step < 0.0)) and a <= lam + step <= b:
             if lam + step == lam:
                 return lam, f, y
@@ -229,18 +228,21 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
     By min-max (Courant and Hilbert, Methods of Mathematical Physics I,
     ch. VI), lam_k lies in [(k pi)^2 + lower, (k pi)^2 + upper] for
     (lower, upper) = q.bounds().  Each eigenvalue is found by safeguarded
-    Newton on y'(1), started at the asymptotic guess (k pi)^2 + mean q,
-    inside the bracket from just above the previous eigenvalue (from
-    lower - 1 for k = 0) to (k pi)^2 + upper + 1, and must come out at or
-    above (k pi)^2 + lower - 1.  A NumericalError "could not bracket" or
-    "below its min-max enclosure" says that the enclosure did not hold it.
+    Newton on y'(1), started at the asymptotic guess (k pi)^2 + mean q
+    (Poeschel and Trubowitz, Inverse Spectral Theory, 1987), the mean taken
+    from the cells of the frozen mesh.  It runs inside the bracket from
+    just above the previous eigenvalue (from lower - 1 for k = 0) to
+    (k pi)^2 + upper + 1, and must come out at or above
+    (k pi)^2 + lower - 1.  A NumericalError "could not bracket" or "below
+    its min-max enclosure" says that the enclosure did not hold it.
     """
     eig_tol = as_positive_tol(eig_tol, "eig_tol")
     count = as_count(count, "count")
-    qbar = mean_value(q)
     lower, upper = q.bounds()
     lo = lower - 1.0
-    shoot = functools.partial(_shoot, _mesh(q, lo, eig_tol))
+    cells = _mesh(q, lo, eig_tol)
+    qbar = _cells_mean(cells)
+    shoot = functools.partial(_shoot, cells)
     if shoot(lo)[2] != 0:
         raise NumericalError(f"could not bracket eigenvalue #0 in window [{lo:.6g}, {lo:.6g}]")
 

@@ -44,6 +44,16 @@ def fd_neumann_eigenvalues(q, count, cells=2000, richardson=True):
     return (4.0 * lam2 - lam) / 3.0
 
 
+class Pointwise:
+    """A Potential seen through `sample(xs)`, by q(x) at each point, for the oracle above."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def sample(self, xs):
+        return np.array([self.q(float(x)) for x in xs])
+
+
 # -- the determinant assembled from the fundamental solutions ---------------
 
 _SERIES_CUT = 1e-6

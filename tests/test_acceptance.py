@@ -42,6 +42,7 @@ from invspec.fileio import (
 from conftest import seeded_grid_potential, seeded_potential_mix, shifted_grid
 from invspec.core import CLUSTER_RADIUS
 from oracles import (
+    Pointwise,
     fd_neumann_eigenvalues,
     mp_vandermonde_solve,
     tight_pair,
@@ -96,7 +97,7 @@ def test_criterion_3_method_cross_check():
     for _ in range(10):
         q = seeded_grid_potential(rng, lattice=10, bound=2.0)
         shoot = neumann_eigenvalues(q, 5)
-        oracle = fd_neumann_eigenvalues(q, 5)
+        oracle = fd_neumann_eigenvalues(Pointwise(q), 5)
         worst = max(worst, max(abs(a - b) for a, b in zip(shoot.values, oracle)))
     elapsed = time.perf_counter() - start
     _verdict(
@@ -129,7 +130,7 @@ def test_criterion_4_rigidity_witness():
             break
     qc = CosinePotential(1.0, 1)
     lam0, mean = rayleigh_mean_gap(qc)
-    oracle0 = fd_neumann_eigenvalues(qc, 1)[0]
+    oracle0 = fd_neumann_eigenvalues(Pointwise(qc), 1)[0]
     cos_ok = (mean - lam0) > 1e-3 and abs(lam0 - oracle0) <= 1e-6
     if not cos_ok:
         detail.append(f"cosine gap {mean - lam0:.3e}, oracle delta {abs(lam0 - oracle0):.3e}")

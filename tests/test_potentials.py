@@ -39,8 +39,8 @@ def test_interface_defaults():
     q = ConstantPotential(2.5)
     assert q(0.3) == 2.5
     assert q.breakpoints() == ()
-    # a cosine of frequency 0 is the constant amplitude; a polynomial's
-    # sampled extremes are padded by 1
+    # a cosine of frequency 0 is the constant amplitude; a polynomial of
+    # small curvature has its sampled extremes padded by 1
     assert CosinePotential(-1.5, 0).bounds() == (-1.5, -1.5)
     assert PolyPotential((3.0,)).bounds() == (2.0, 4.0)
     base = Potential()
@@ -48,8 +48,6 @@ def test_interface_defaults():
         base.bounds()
     with pytest.raises(NotImplementedError):
         base(0.5)
-    with pytest.raises(NotImplementedError):
-        base.sample(np.zeros(2))
 
 
 def test_bounds_enclose_q(rng):
@@ -62,17 +60,35 @@ def test_bounds_enclose_q(rng):
             q = seeded_potential_mix(rng, bound=bound)
             seen.add(q.kind)
             lower, upper = q.bounds()
-            vals = q.sample(xs)
-            assert lower <= vals.min() and vals.max() <= upper, q
+            vals = [q(x) for x in xs]
+            assert lower <= min(vals) and max(vals) <= upper, q
     assert seen == {"constant", "grid", "cosine", "poly_in_x"}
+    # a parabola of curvature 2e8 whose zero lies halfway between two of the
+    # polynomial's 513 samples, where they read 95.37: a pad of 1 misses it
+    x0 = 0.5 + 1.0 / 1024.0
+    narrow = PolyPotential((1e8 * x0**2, -2e8 * x0, 1e8))
+    lower, upper = narrow.bounds()
+    vals = [narrow(x) for x in (x0, *xs)]
+    assert lower <= min(vals) and max(vals) <= upper
 
 
-def test_scalar_call_agrees_with_sample(rng):
-    # each kind writes its formula twice; the mesh builder uses q(x), the Simpson mean sample
+def test_scalar_call_matches_numpy_formulas(rng):
+    # each kind writes q once, as q(x); the formulas here are numpy's own
     worst = 0.0
+    seen = set()
     for _ in range(200):
         q = seeded_potential_mix(rng)
-        xs = [0.0, 1.0, *q.breakpoints(), *rng.uniform(0.0, 1.0, 20)]
-        for x, v in zip(xs, q.sample(np.array(xs))):
+        seen.add(q.kind)
+        xs = np.array([0.0, 1.0, *q.breakpoints(), *rng.uniform(0.0, 1.0, 20)])
+        if q.kind == "constant":
+            want = np.full_like(xs, q.value)
+        elif q.kind == "grid":
+            want = np.interp(xs, q.nodes, q.values)
+        elif q.kind == "cosine":
+            want = q.amplitude * np.cos(2.0 * np.pi * q.frequency * xs)
+        else:
+            want = np.polynomial.polynomial.polyval(xs, q.coeffs)
+        for x, v in zip(xs, want):
             worst = max(worst, abs(q(float(x)) - v) / max(1.0, abs(v)))
+    assert seen == {"constant", "grid", "cosine", "poly_in_x"}
     assert worst <= 1e-15

@@ -20,7 +20,7 @@ from invspec import (
     shoot_miss,
 )
 from conftest import seeded_grid_potential, seeded_potential_mix, shifted_grid
-from oracles import fd_neumann_eigenvalues
+from oracles import Pointwise, fd_neumann_eigenvalues
 
 PI2 = math.pi**2
 
@@ -70,7 +70,7 @@ def test_count_below_monotone_sweep(rng):
 
 def test_count_below_agrees_with_matrix_oracle():
     q = CosinePotential(1.0, 1)
-    oracle = fd_neumann_eigenvalues(q, 8)
+    oracle = fd_neumann_eigenvalues(Pointwise(q), 8)
     for mu in np.linspace(-1.0, 160.0, 40):
         want = int(np.sum(oracle < mu))
         assert eigenvalue_count_below(q, mu) == want
@@ -92,7 +92,7 @@ def test_constant_shift_spectrum():
 def test_cosine_spectrum_matches_oracle():
     q = CosinePotential(1.0, 1)
     got = neumann_eigenvalues(q, 6)
-    want = fd_neumann_eigenvalues(q, 6)
+    want = fd_neumann_eigenvalues(Pointwise(q), 6)
     assert max(abs(a - b) for a, b in zip(got.values, want)) <= 1e-6
 
 
@@ -240,7 +240,7 @@ def test_free_spectrum_verdict_cases():
 def test_free_spectrum_verdict_small_cosine():
     # the dense oracle puts the first-mode shift near 0.005, well over tol
     q = CosinePotential(0.01, 1)
-    oracle = fd_neumann_eigenvalues(q, 4)
+    oracle = fd_neumann_eigenvalues(Pointwise(q), 4)
     assert abs(oracle[1] - PI2) > 1e-4
     spec = neumann_eigenvalues(q, 4)
     assert not free_spectrum_verdict(spec, 1e-6)
@@ -258,13 +258,22 @@ def test_rayleigh_cosine_gap_matches_oracle():
     lam0, mean = rayleigh_mean_gap(q)
     assert abs(mean) <= 1e-10
     assert lam0 < -1e-3
-    oracle0 = fd_neumann_eigenvalues(q, 1)[0]
+    oracle0 = fd_neumann_eigenvalues(Pointwise(q), 1)[0]
     assert abs(lam0 - oracle0) <= 1e-6
 
 
-def test_mean_value_simpson():
+def test_mean_value_is_exact_on_kinks_off_a_lattice():
     assert abs(mean_value(CosinePotential(2.0, 3))) <= 1e-10
     assert abs(mean_value(GridPotential((0.0, 1.0), (1.0, 3.0))) - 2.0) <= 1e-9
+    # the mesh lands on every kink, so its sum is the trapezoid sum of the
+    # grid; the kinks lie off any 2001-point lattice
+    nodes = (0.0, 0.12345678, 0.43210987, 0.4322, 0.77777, 1.0)
+    values = (3.0, -7.5, 10.25, -2.0, 4.0, -4.5)
+    exact = math.fsum(
+        (x1 - x0) * (v0 + v1) / 2.0
+        for x0, x1, v0, v1 in zip(nodes, nodes[1:], values, values[1:])
+    )
+    assert abs(mean_value(GridPotential(nodes, values)) - exact) <= 1e-14
 
 
 def test_asymptotic_sanity_gate(rng):
@@ -291,7 +300,7 @@ def test_strong_potentials_count_and_solve():
     # below a strong potential's spectrum a Pruefer phase of fixed scale
     # miscounted; the zeros of y need no scale
     for i, q in enumerate(strong_potentials(np.random.default_rng(5))):
-        oracle = fd_neumann_eigenvalues(q, 12)
+        oracle = fd_neumann_eigenvalues(Pointwise(q), 12)
         for mu in [oracle[0] - 5.0, *(0.5 * (oracle[:-1] + oracle[1:]))]:
             assert eigenvalue_count_below(q, mu) == int(np.sum(oracle < mu)), (q, mu)
         if i < 4:
@@ -370,7 +379,7 @@ def test_a_window_that_misses_raises_after_the_eigenvalues_below_it():
     # near 75.7, above its top 4 pi^2 + 2
     q = UnderstatedUpperBound(200.0, 1)
     got = neumann_eigenvalues(q, 2).values
-    assert max(abs(a - b) for a, b in zip(got, fd_neumann_eigenvalues(q, 2))) <= 1e-6
+    assert max(abs(a - b) for a, b in zip(got, fd_neumann_eigenvalues(Pointwise(q), 2))) <= 1e-6
     with pytest.raises(NumericalError, match="could not bracket eigenvalue #2 in window"):
         neumann_eigenvalues(q, 3)
 
@@ -463,8 +472,18 @@ def test_a_loose_stop_returns_lam_k_not_lam_k_plus_1():
     assert max(abs(a - b) / abs(b) for a, b in zip(loose, tight)) <= 1e-4
 
 
+def test_a_loose_stop_is_relative_to_lam_not_to_the_bracket():
+    # lam_0 = -0.859 lies far above the bracket's bottom, lower - 1 = -66.9,
+    # so a stop width of 1e-2 times the bracket's ends (0.669) would stop a
+    # step of -0.585 short of it, and the residual floor would raise
+    q = CosinePotential(65.87652577774243, 8)
+    tight = neumann_eigenvalues(q, 12).values
+    loose = neumann_eigenvalues(q, 12, 1e-2).values
+    assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(loose, tight)) <= 1e-2
+
+
 def test_a_bracket_under_the_stop_width_shoots_its_top_before_giving_up():
-    # at eig_tol 2 the stop width 8 exceeds the whole bracket [2, 4]; the
+    # at eig_tol 2 the stop width 4 exceeds the whole bracket [2, 4]; the
     # shot at the top counts 1, so lam_0 lies below it and the search goes
     # on: the step 100 leaves the bracket and bisects to 3
     shoot, shots = fake_shoot((1.0, 1.0, 0, 0.01), (1.0, 1.0, 1, 1.0), (0.0, 1.0, 0, 1.0))

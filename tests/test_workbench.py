@@ -19,7 +19,7 @@ from invspec import (
 from invspec import workbench
 from invspec.workbench import DEFAULT_BOX, compare_neumann
 from invspec import ConstantPotential, CosinePotential, GridPotential
-from oracles import fd_neumann_eigenvalues, tight_pair
+from oracles import Pointwise, fd_neumann_eigenvalues, tight_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,11 +189,11 @@ def test_compare_cosine_against_sampled_grid():
     # so the match tolerance is frozen from that bound
     qc = CosinePotential(1.0, 1)
     nodes = tuple(np.linspace(0.0, 1.0, 101))
-    qg = GridPotential(nodes, tuple(float(v) for v in qc.sample(np.array(nodes))))
+    qg = GridPotential(nodes, tuple(qc(x) for x in nodes))
     report = compare_neumann(qc, qg, 6, 2.5e-4)
     assert report.matched
     oracle_gaps = np.abs(
-        fd_neumann_eigenvalues(qc, 6) - fd_neumann_eigenvalues(qg, 6)
+        fd_neumann_eigenvalues(Pointwise(qc), 6) - fd_neumann_eigenvalues(Pointwise(qg), 6)
     )
     assert max(abs(g - o) for g, o in zip(report.gaps, oracle_gaps)) <= 1e-6
     assert max(report.gaps) <= 2.5e-4
