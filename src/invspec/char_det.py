@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,6 +57,7 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
+_SAMPLES_PER_UNIT = 8.0
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def delta_deriv(prob: BoundaryPolynomialProblem, lam):
     return _g_and_slope(prob, lam)[1]
 
 
-def _edge_points(box: SearchBox, samples_per_unit: float):
+def _edge_points(box: SearchBox):
     """Counterclockwise contour samples, closed (last point equals first)."""
     corners = [
         complex(box.re_min, box.im_min),
@@ -204,7 +206,7 @@ def _edge_points(box: SearchBox, samples_per_unit: float):
     ]
     pts = []
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        n = max(12, int(abs(z1 - z0) * samples_per_unit) + 1)
+        n = max(12, int(abs(z1 - z0) * _SAMPLES_PER_UNIT) + 1)
         # linspace(0, 1, n, endpoint=False) bit for bit, in under half the time
         ts = np.arange(n) * (1.0 / n)
         pts.append(z0 + ts * (z1 - z0))
@@ -217,9 +219,10 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
 
     The count is the winding number of g along the box boundary (argument
     principle).  A segment is accepted only when its phase jump is below
-    pi/2 AND the derivative bound len * max|g'| / min|g| at its endpoints
-    is small: the bound dominates the true phase change, so zeros lurking
-    between samples cannot alias a full turn past the jump test.  A sample
+    pi/2 AND len * max|g'| / min|g|, taken at its two endpoints, is at most
+    1/2.  The endpoint values of |g'| stand in for its maximum on the
+    segment, so this makes aliasing of a zero between samples unlikely, not
+    impossible: a rigorous bound is ROADMAP item 3.  A sample
     with |g| at or below RESIDUAL_TOL, or a count below zero, raises
     BoundaryZeroError; a winding far from an integer, NumericalError.
 
@@ -227,7 +230,7 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     numpy.  Only the segments that fail it are bisected, one at a time and
     in contour order, by the scalar loop.
     """
-    pts = _edge_points(box, samples_per_unit=8.0)
+    pts = _edge_points(box)
     vals, ders = _g_and_slope(prob, pts)
     mags, ders = np.abs(vals), np.abs(ders)
     if (mags <= RESIDUAL_TOL).any():
@@ -318,39 +321,31 @@ def _strips(box: SearchBox, shift: float):
     Yields (distance from the origin, strip, Newton start), the start being
     the asymptotic zero ln 2 + 2 pi i k clamped into the strip; ties in
     distance go to the strip below.  A tall box has millions of strips and
-    a search may stop after a few, so they are made lazily: k walks up and
-    down from the real axis, and a strip is yielded once every strip not
-    yet made lies farther away.
+    a search may stop after a few, so they are made lazily: the strips
+    reaching above the real axis come nearest first as k rises, those below
+    it as k falls, and the two runs are merged.
     """
     re0 = min(max(math.log(2.0), box.re_min), box.re_max)
     dx = max(box.re_min, 0.0, -box.re_max)
     k_lo = math.floor((box.im_min - shift) / _TWO_PI + 0.5)
     k_hi = math.ceil((box.im_max - shift) / _TWO_PI - 0.5)
-    up = min(max(0, k_lo), k_hi)
-    down = up - 1
-    heap: list = []
-    while True:
-        # strip k lies at least 2 pi (k - 1/2) + shift above the real axis, or
-        # -(2 pi (k + 1/2) + shift) below it: the first grows with k, the second as k falls
-        above = _TWO_PI * (up - 0.5) + shift if up <= k_hi else math.inf
-        below = -(_TWO_PI * (down + 0.5) + shift) if down >= k_lo else math.inf
-        # math.hypot errs by under 1 ulp, so no strip still to come lies nearer
-        bound = math.hypot(dx, max(min(above, below), 0.0)) * (1.0 - 1e-15)
-        while heap and heap[0][0] < bound:
-            dist, _, _, strip, start = heapq.heappop(heap)
-            yield dist, strip, start
-        if up > k_hi and down < k_lo:
-            return
-        if above <= below:
-            k, up = up, up + 1
-        else:
-            k, down = down, down - 1
-        lo = max(box.im_min, _TWO_PI * (k - 0.5) + shift)
-        hi = min(box.im_max, _TWO_PI * (k + 0.5) + shift)
-        if lo < hi:
+    # strip k0 holds the real axis (k0 clamped to the box); distance grows from it both ways
+    k0 = min(max(math.floor(-shift / _TWO_PI + 0.5), k_lo), k_hi + 1)
+
+    def side(ks):
+        for k in ks:
+            lo = max(box.im_min, _TWO_PI * (k - 0.5) + shift)
+            hi = min(box.im_max, _TWO_PI * (k + 0.5) + shift)
+            if lo < hi:
+                yield math.hypot(dx, max(lo, 0.0, -hi)), lo, hi, k
+
+    # the merge puts distances in order; below the axis a run of equal
+    # distance comes with Im min falling, so each run is sorted again
+    merged = heapq.merge(side(range(k0, k_hi + 1)), side(range(k0 - 1, k_lo - 1, -1)))
+    for _, run in itertools.groupby(merged, key=lambda e: e[0]):
+        for dist, lo, hi, k in sorted(run):
             strip = SearchBox(box.re_min, box.re_max, lo, hi)
-            start = complex(re0, min(max(_TWO_PI * k, lo), hi))
-            heapq.heappush(heap, (math.hypot(dx, max(lo, 0.0, -hi)), lo, k, strip, start))
+            yield dist, strip, complex(re0, min(max(_TWO_PI * k, lo), hi))
 
 
 def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, row):
@@ -398,8 +393,7 @@ def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, ro
             raise NumericalError(
                 f"more than max_roots={max_roots} zeros in the box ({len(found)} already located)"
             )
-        if count:
-            visit(strip, count, 0, start)
+        visit(strip, count, 0, start)
     return found
 
 
@@ -426,19 +420,14 @@ def find_det_eigenvalues(
     max_roots = as_count(max_roots, "max_roots")
     if nearest is not None:
         nearest = as_count(nearest, "nearest")
-    eff = box
-    last_err: BoundaryZeroError | None = None
-    for attempt, row in enumerate(_ATTEMPTS):
+    for attempt, row in enumerate(_ATTEMPTS, 1):
         try:
-            roots = _collect_roots(prob, eff, max_roots, nearest, row)
+            roots = _collect_roots(prob, box, max_roots, nearest, row)
             break
-        except BoundaryZeroError as err:
-            last_err = err
-            delta = CLUSTER_RADIUS * (attempt + 1) * 1.618
-            eff = eff.expanded(delta)
-    else:
-        assert last_err is not None
-        raise last_err
+        except BoundaryZeroError:
+            if attempt == len(_ATTEMPTS):
+                raise
+            box = box.expanded(CLUSTER_RADIUS * attempt * 1.618)
 
     if all(c.imag == 0.0 for c in prob.poly.coeffs):
         located = list(roots)

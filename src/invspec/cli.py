@@ -266,8 +266,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 from .core import Polynomial, RoundTripReport, Spectrum
 from .errors import InputError, SchemaError
@@ -203,19 +204,23 @@ def emit_report(report: RoundTripReport) -> str:
 
 # -- path helpers and CSV -----------------------------------------------
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_potential(path) -> Potential:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_potential(fh.read())
+    return parse_potential(_read_text(path))
 
 
 def load_spectrum(path) -> Spectrum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spectrum(fh.read())
+    return parse_spectrum(_read_text(path))
 
 
 def save_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _complex_cell(values) -> str:

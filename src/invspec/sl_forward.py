@@ -236,6 +236,10 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
     (k pi)^2 + lower - 1.  A NumericalError "could not bracket" or "below
     its min-max enclosure" says that the enclosure did not hold it.
     """
+    return _spectrum_and_mean(q, count, eig_tol)[0]
+
+
+def _spectrum_and_mean(q: Potential, count: int, eig_tol: float) -> tuple[Spectrum, float]:
     eig_tol = as_positive_tol(eig_tol, "eig_tol")
     count = as_count(count, "count")
     lower, upper = q.bounds()
@@ -266,7 +270,7 @@ def neumann_eigenvalues(q: Potential, count: int, eig_tol: float = EIG_TOL) -> S
             )
         values.append(lam_k)
         lo = lam_k + max(4.0 * eig_tol, 1e-10 * (1.0 + abs(lam_k)))
-    return Spectrum(tuple((v, 1) for v in values))
+    return Spectrum(tuple((v, 1) for v in values)), qbar
 
 
 def free_spectrum_verdict(spectrum: Spectrum, tol: float) -> bool:
@@ -288,7 +292,7 @@ def rayleigh_mean_gap(q: Potential) -> tuple[float, float]:
 
     The constant trial function makes the first eigenvalue at most the mean;
     equality holds exactly for constant q, so a strict gap witnesses a
-    non-constant potential.
+    non-constant potential.  Both come from one mesh.
     """
-    lam0 = neumann_eigenvalues(q, 1).values[0]
-    return lam0, mean_value(q)
+    spectrum, mean = _spectrum_and_mean(q, 1, EIG_TOL)
+    return spectrum.values[0], mean

@@ -267,7 +267,7 @@ def test_winding_first_pass_and_scalar_refinement(monkeypatch):
 
 def scalar_winding(p, box):
     """The winding as one scalar stack over every contour segment: the reference."""
-    pts = char_det._edge_points(box, samples_per_unit=8.0)
+    pts = char_det._edge_points(box)
     vals = delta_scaled_eval(p, pts)
     if (np.abs(vals) <= RESIDUAL_TOL).any():
         raise BoundaryZeroError(complex(pts[int(np.argmin(np.abs(vals)))]))
@@ -764,18 +764,14 @@ def test_segment_underflow_raises_on_a_large_jump(monkeypatch):
 def test_open_contour_gives_a_non_integer_winding(monkeypatch):
     # the first three edges alone turn g about half way around its zero
     edges = char_det._edge_points
-    monkeypatch.setattr(
-        char_det, "_edge_points", lambda box, samples_per_unit: edges(box, samples_per_unit)[:-24]
-    )
+    monkeypatch.setattr(char_det, "_edge_points", lambda box: edges(box)[:-24])
     with pytest.raises(NumericalError, match="not close to an integer"):
         count_zeros(prob(0.0), SearchBox(-1.0, 1.0, 5.0, 8.0))
 
 
 def test_clockwise_contour_gives_a_negative_count(monkeypatch):
     edges = char_det._edge_points
-    monkeypatch.setattr(
-        char_det, "_edge_points", lambda box, samples_per_unit: edges(box, samples_per_unit)[::-1]
-    )
+    monkeypatch.setattr(char_det, "_edge_points", lambda box: edges(box)[::-1])
     box = SearchBox(-1.0, 1.0, 5.0, 8.0)
     # a BoundaryZeroError, so find_det_eigenvalues retries with moved lines
     with pytest.raises(BoundaryZeroError, match="negative zero count -1") as err:
@@ -872,10 +868,10 @@ def test_a_negative_child_count_retries_with_the_next_attempt(monkeypatch):
     edges = char_det._edge_points
     first = char_det._ATTEMPTS[0][1:]
 
-    def reversed_on_first_split(box, samples_per_unit):
+    def reversed_on_first_split(box):
         # the children of a split at attempt 0's fractions wind clockwise,
         # so the one holding a zero counts -1
-        pts = edges(box, samples_per_unit)
+        pts = edges(box)
         return pts[::-1] if fractions[-1:] == [first] and box.width < 16.0 else pts
 
     monkeypatch.setattr(char_det, "_edge_points", reversed_on_first_split)
@@ -893,6 +889,35 @@ def test_a_split_mismatch_on_every_attempt_raises(monkeypatch):
     with pytest.raises(BoundaryZeroError):
         find_det_eigenvalues(prob(0.0), box, 8)
     assert fractions == [row[1:] for row in char_det._ATTEMPTS]
+
+
+def test_each_retry_nudges_the_box_and_the_last_error_is_raised(monkeypatch):
+    box = SearchBox(-1.0, 1.0, -1.0, 1.0)
+    searched, raised = [], []
+    collect = char_det._collect_roots
+
+    def spy(p, b, *rest):
+        searched.append(b)
+        try:
+            return collect(p, b, *rest)
+        except BoundaryZeroError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(char_det, "_collect_roots", spy)
+    # one strip of two zeros whose children always claim one each
+    monkeypatch.setattr(char_det, "count_zeros", lambda p, b: 2 if b.width > 1.5 else 1)
+    with pytest.raises(BoundaryZeroError) as err:
+        find_det_eigenvalues(prob(0.0), box, 8)
+    assert len(searched) == len(raised) == len(char_det._ATTEMPTS) == 6
+    # attempt k searches the box grown by 1.618 j CLUSTER_RADIUS for each j < k
+    for k, got in enumerate(searched, 1):
+        grown = sum(1.618 * j * CLUSTER_RADIUS for j in range(1, k))
+        want = box.expanded(grown)
+        assert [got.re_min, got.re_max, got.im_min, got.im_max] == pytest.approx(
+            [want.re_min, want.re_max, want.im_min, want.im_max], rel=0.0, abs=1e-15
+        )
+    assert err.value is raised[-1]
 
 
 def test_root_residual_bound(monkeypatch):

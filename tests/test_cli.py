@@ -169,8 +169,35 @@ def test_malformed_file_gives_exit_two(tmp_path, capsys):
     assert "nodes[2]" in capsys.readouterr().err
 
 
-def test_missing_file_gives_exit_two(tmp_path):
-    assert main(["eigen", "--potential", str(tmp_path / "nope.json"), "--count", "2"]) == 2
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        pytest.param(["eigen", "--potential", "{dir}/nope.json", "--count", "2"],
+                     "{dir}/nope.json", id="missing"),
+        pytest.param(["eigen", "--potential", "{dir}", "--count", "2"], "{dir}",
+                     id="potential-is-a-directory"),
+        pytest.param(["eigen", "--potential", "{q}", "--count", "2", "--out", "{dir}"], "{dir}",
+                     id="out-is-a-directory"),
+        pytest.param(["eigen", "--potential", "{bin}", "--count", "2"], "{bin}", id="not-utf8"),
+        pytest.param(["reconstruct", "--degree", "0", "--eigs", "{bin}"], "{bin}",
+                     id="spectrum-not-utf8"),
+        # an empty result deletes --out, and a directory there cannot be deleted
+        pytest.param(["det-roots", "--coeffs", "0", "--box", "0.5,1.5,0.5,1.5", "--out", "{dir}"],
+                     "{dir}", id="empty-result-out-is-a-directory"),
+    ],
+)
+def test_bad_path_gives_exit_two(tmp_path, capsys, argv, path):
+    names = {
+        "dir": str(tmp_path),
+        "q": write(tmp_path, "q.json", emit_potential(ConstantPotential(0.0))),
+        "bin": str(tmp_path / "bin.json"),
+    }
+    (tmp_path / "bin.json").write_bytes(b"\xff\xfe")
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert path.format(**names) in err
+    assert "Traceback" not in err
 
 
 def test_empty_spectrum_file_gives_exit_two(tmp_path, capsys):

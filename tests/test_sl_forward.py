@@ -262,6 +262,17 @@ def test_rayleigh_cosine_gap_matches_oracle():
     assert abs(lam0 - oracle0) <= 1e-6
 
 
+def test_rayleigh_mean_gap_builds_one_mesh(monkeypatch):
+    q = CosinePotential(65.87652577774243, 8)
+    want = (neumann_eigenvalues(q, 1).values[0], mean_value(q))
+    meshes = []
+    mesh = sl_forward._mesh
+    monkeypatch.setattr(sl_forward, "_mesh", lambda *args: meshes.append(args) or mesh(*args))
+    # the same values, bit for bit, as the solve and the mean taken apart
+    assert rayleigh_mean_gap(q) == want
+    assert len(meshes) == 1
+
+
 def test_mean_value_is_exact_on_kinks_off_a_lattice():
     assert abs(mean_value(CosinePotential(2.0, 3))) <= 1e-10
     assert abs(mean_value(GridPotential((0.0, 1.0), (1.0, 3.0))) - 2.0) <= 1e-9
