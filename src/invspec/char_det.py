@@ -222,9 +222,10 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
     pi/2 AND len * max|g'| / min|g|, taken at its two endpoints, is at most
     1/2.  The endpoint values of |g'| stand in for its maximum on the
     segment, so this makes aliasing of a zero between samples unlikely, not
-    impossible: a rigorous bound is ROADMAP item 3.  A sample
-    with |g| at or below RESIDUAL_TOL, or a count below zero, raises
-    BoundaryZeroError; a winding far from an integer, NumericalError.
+    impossible: a rigorous bound is ROADMAP item 3.  A sample with |g| at
+    or below RESIDUAL_TOL, a segment that still fails at the length floor
+    (1e-12 relative), or a count below zero raises BoundaryZeroError; a
+    winding far from an integer, NumericalError.
 
     The first pass tests every segment between contour samples at once, in
     numpy.  Only the segments that fail it are bisected, one at a time and
@@ -255,12 +256,10 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
         jump = cmath.phase(f1 / f0)
         seg = abs(z1 - z0)
         excursion = seg * max(d0, d1) / min(abs(f0), abs(f1))
-        # a segment at the length floor is judged by its phase jump alone
-        at_floor = seg < 1e-12 * (1.0 + abs(z0))
-        if abs(jump) < _HALF_PI and (excursion <= 0.5 or at_floor):
+        if abs(jump) < _HALF_PI and excursion <= 0.5:
             total += jump
             continue
-        if at_floor:
+        if seg < 1e-12 * (1.0 + abs(z0)):
             raise BoundaryZeroError(0.5 * (z0 + z1))
         zm = 0.5 * (z0 + z1)
         fm, dm = _g_and_slope(prob, zm)

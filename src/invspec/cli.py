@@ -1,8 +1,11 @@
 """Command-line surface.
 
-Each command writes its JSON document to --out, or to stdout when --out is
-not given (`compare` has no --out), and its summary to stderr, so stdout
-always parses as JSON.
+Each `_cmd_*` writes its side files (`roundtrip --csv`) and returns
+(document or None, summary, exit code).  `main` then writes the document to
+--out, or to stdout without one, and last the summary to stderr, so stdout
+always parses as JSON.  A failed write leaves stdout empty and prints one
+`error:` line instead of the summary.  With no document (an empty
+`det-roots` box), `main` removes a file an earlier run left at --out.
 
 Exit codes: 0 success, 1 numerical failure or empty result (with
 diagnostic), 2 invalid input (bad arguments or malformed files).
@@ -20,8 +23,8 @@ from .char_det import BoundaryPolynomialProblem, SearchBox, find_det_eigenvalues
 from .core import Polynomial
 from .errors import InputError, NumericalError
 from .fileio import (
-    _complex_out,
     dump_json,
+    emit_reconstruction,
     emit_report,
     emit_spectrum,
     load_potential,
@@ -66,59 +69,31 @@ def _parse_box(text: str) -> SearchBox:
     return SearchBox(*vals)
 
 
-def _write(path, text: str) -> None:
-    """A command's document: to the file at path, or to stdout without one."""
-    if path:
-        save_text(path, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args):
     q = load_potential(args.potential)
     spec = neumann_eigenvalues(q, args.count, args.tol)
-    _write(args.out, emit_spectrum(spec))
-    print(f"computed {len(spec)} eigenvalues; lowest {spec.values[0]:.12g}", file=sys.stderr)
-    return 0
+    summary = f"computed {len(spec)} eigenvalues; lowest {spec.values[0]:.12g}"
+    return emit_spectrum(spec), summary, 0
 
 
-def _cmd_det_roots(args) -> int:
+def _cmd_det_roots(args):
     poly = _parse_coeffs(args.coeffs)
     box = _parse_box(args.box)
     roots = find_det_eigenvalues(BoundaryPolynomialProblem(poly), box, args.max_roots)
     if not roots:
-        # an empty spectrum has no valid file form (schema requires >= 1 entry);
-        # a file an earlier run left at --out must not pass for this result
-        if args.out:
-            Path(args.out).unlink(missing_ok=True)
-        print("no determinant zeros inside the box; no output written", file=sys.stderr)
-        return 1
-    _write(args.out, emit_spectrum(roots))
-    print(
-        f"found {len(roots)} zeros, multiplicity sum {sum(roots.multiplicities)}",
-        file=sys.stderr,
-    )
-    return 0
+        # an empty spectrum has no valid file form (schema requires >= 1 entry)
+        return None, "no determinant zeros inside the box; no output written", 1
+    summary = f"found {len(roots)} zeros, multiplicity sum {sum(roots.multiplicities)}"
+    return emit_spectrum(roots), summary, 0
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args):
     spectrum = load_spectrum(args.eigs)
     nodes = select_reconstruction_nodes(spectrum, args.degree)
     rec = reconstruct_coeffs(nodes)
-    doc = dump_json(
-        {
-            "recovered": [_complex_out(c) for c in rec.coefficients.coeffs],
-            "condition": rec.vandermonde_condition,
-            "node_residuals": list(rec.node_residuals),
-            "nodes": [{"re": z.real, "im": z.imag} for z in nodes],
-        }
-    )
-    _write(args.out, doc)
-    print(
-        f"recovered degree-{args.degree} coefficients; condition {rec.vandermonde_condition:.3e}",
-        file=sys.stderr,
-    )
-    return 0
+    cond = rec.vandermonde_condition
+    summary = f"recovered degree-{args.degree} coefficients; condition {cond:.3e}"
+    return emit_reconstruction(rec, nodes), summary, 0
 
 
 def _make_config(args, degree_range, seed: int = 0, trials: int = 1) -> ExperimentConfig:
@@ -126,7 +101,7 @@ def _make_config(args, degree_range, seed: int = 0, trials: int = 1) -> Experime
     return ExperimentConfig(seed=seed, degree_range=degree_range, search_box=box, trials=trials)
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args):
     if bool(args.coeffs) == bool(args.seed is not None):
         raise InputError("use exactly one of --coeffs or --seed")
     if args.coeffs:
@@ -134,52 +109,45 @@ def _cmd_roundtrip(args) -> int:
             if value is not None:
                 raise InputError(f"{flag} belongs to --seed mode, not --coeffs")
         poly = _parse_coeffs(args.coeffs)
-        cfg = _make_config(args, (0, max(3, poly.degree)))
-        report = roundtrip(poly, cfg)
-        _write(args.out, emit_report(report))
-        print(
+        report = roundtrip(poly, _make_config(args, (0, max(3, poly.degree))))
+        reports = [report]
+        doc = emit_report(report)
+        summary = (
             f"round trip: max coefficient error {report.max_coeff_error:.3e}, "
-            f"condition {report.condition:.3e}",
-            file=sys.stderr,
+            f"condition {report.condition:.3e}"
         )
-        if args.csv:
-            save_text(args.csv, reports_to_csv([report]))
-        return 0
-    if args.degree is None:
-        raise InputError("--seed mode needs --degree")
-    trials = 1 if args.trials is None else args.trials
-    cfg = _make_config(args, (args.degree, args.degree), args.seed, trials)
-    reports = run_seeded_suite(cfg)
-    _write(args.out, "[" + ",".join(emit_report(r).rstrip("\n") for r in reports) + "]\n")
+    else:
+        if args.degree is None:
+            raise InputError("--seed mode needs --degree")
+        trials = 1 if args.trials is None else args.trials
+        cfg = _make_config(args, (args.degree, args.degree), args.seed, trials)
+        reports = run_seeded_suite(cfg)
+        doc = "[" + ",".join(emit_report(r).rstrip("\n") for r in reports) + "]\n"
+        worst = max(r.max_coeff_error for r in reports)
+        summary = f"{len(reports)} trials, worst coefficient error {worst:.3e}"
     if args.csv:
         save_text(args.csv, reports_to_csv(reports))
-    worst = max(r.max_coeff_error for r in reports)
-    print(f"{len(reports)} trials, worst coefficient error {worst:.3e}", file=sys.stderr)
-    return 0
+    return doc, summary, 0
 
 
-def _cmd_uniqueness(args) -> int:
+def _cmd_uniqueness(args):
     pa = _parse_coeffs(args.coeffs_a)
     pb = _parse_coeffs(args.coeffs_b)
-    cfg = _make_config(args, (0, max(3, pa.degree, pb.degree)))
-    report = uniqueness_probe(pa, pb, cfg)
-    _write(args.out, dump_json(dataclasses.asdict(report)))
-    print(f"uniqueness probe: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
-    return 0 if report.passed else 1
+    report = uniqueness_probe(pa, pb, _make_config(args, (0, max(3, pa.degree, pb.degree))))
+    summary = f"uniqueness probe: {'PASS' if report.passed else 'FAIL'}"
+    return dump_json(dataclasses.asdict(report)), summary, 0 if report.passed else 1
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     qa = load_potential(args.potential_a)
     qb = load_potential(args.potential_b)
     report = compare_neumann(qa, qb, args.count, args.tol)
-    sys.stdout.write(dump_json(dataclasses.asdict(report)))
-    for i, gap in enumerate(report.gaps):
-        print(f"index {i}: gap {gap:.6e}", file=sys.stderr)
-    print("spectra match:", report.matched, file=sys.stderr)
-    print("free-spectrum flags:", report.free_spectrum_a, report.free_spectrum_b, file=sys.stderr)
+    lines = [f"index {i}: gap {gap:.6e}" for i, gap in enumerate(report.gaps)]
+    lines.append(f"spectra match: {report.matched}")
+    lines.append(f"free-spectrum flags: {report.free_spectrum_a} {report.free_spectrum_b}")
     if report.zero_potential_flag:
-        print("both spectra are free: the potentials must vanish identically", file=sys.stderr)
-    return 0
+        lines.append("both spectra are free: the potentials must vanish identically")
+    return dump_json(dataclasses.asdict(report)), "\n".join(lines), 0
 
 
 @functools.cache
@@ -232,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential-b", required=True, dest="potential_b")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--tol", type=float, required=True)
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, out=None)
 
     return parser
 
@@ -265,7 +233,15 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad arguments, matching our input-error code
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        doc, summary, code = args.func(args)
+        if doc is None:
+            # a file an earlier run left at --out must not pass for this result
+            if args.out:
+                Path(args.out).unlink(missing_ok=True)
+        elif args.out:
+            save_text(args.out, doc)
+        else:
+            sys.stdout.write(doc)
     except OSError as exc:
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         print(f"error: {reason}: {exc.filename}", file=sys.stderr)
@@ -276,6 +252,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Parsing and emission of potential, spectrum, and report documents.
+"""Parsing and emission of potential, spectrum, report and reconstruction documents.
 
 Documents are JSON with normative field names.  Reals are emitted with
 shortest round-trip representation (at most 17 significant digits), so
@@ -30,6 +30,7 @@ __all__ = [
     "emit_spectrum",
     "parse_report",
     "emit_report",
+    "emit_reconstruction",
     "load_potential",
     "load_spectrum",
     "save_text",
@@ -198,6 +199,20 @@ def emit_report(report: RoundTripReport) -> str:
             "condition": report.condition,
             "nodes": [_complex_out(z) for z in report.nodes_used],
             "wall_time_ms": report.wall_time_ms,
+        }
+    )
+
+
+# -- reconstruction documents -------------------------------------------
+
+def emit_reconstruction(rec, nodes) -> str:
+    """A ReconstructionResult and its nodes; every node keeps its im, even 0."""
+    return dump_json(
+        {
+            "recovered": [_complex_out(c) for c in rec.coefficients.coeffs],
+            "condition": rec.vandermonde_condition,
+            "node_residuals": list(rec.node_residuals),
+            "nodes": [{"re": z.real, "im": z.imag} for z in nodes],
         }
     )
 

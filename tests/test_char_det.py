@@ -736,17 +736,19 @@ def fake_determinant(monkeypatch, g, dg):
     monkeypatch.setattr(char_det, "_g_and_slope", lambda p, z: (g(z), dg(z)))
 
 
-def test_segment_underflow_accepts_a_small_jump(monkeypatch):
+def test_segment_underflow_raises_on_a_small_jump(monkeypatch):
     # g' reads huge at the corner 1 + 0.5i alone, so the derivative bound
-    # fails on the segments ending there down to 1e-12, where g's zero
-    # phase jump is accepted
+    # fails on the segments ending there down to the length floor; a zero
+    # phase jump does not let such a segment pass, so the search retries
     corner = 1.0 + 0.5j
     fake_determinant(
         monkeypatch,
         lambda z: np.ones_like(z) if isinstance(z, np.ndarray) else 1.0 + 0j,
         lambda z: np.where(z == corner, 1e300, 0.0),
     )
-    assert count_zeros(prob(0.0), SearchBox(0.0, 1.0, 0.5, 1.0)) == 0
+    with pytest.raises(BoundaryZeroError) as err:
+        count_zeros(prob(0.0), SearchBox(0.0, 1.0, 0.5, 1.0))
+    assert abs(err.value.location - corner) <= 1e-11
 
 
 def test_segment_underflow_raises_on_a_large_jump(monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from invspec import workbench
 from invspec.cli import main
-from invspec import ConstantPotential, CosinePotential, GridPotential
-from invspec.fileio import emit_potential, parse_report, parse_spectrum
+from invspec import ConstantPotential, CosinePotential, GridPotential, Spectrum
+from invspec.fileio import emit_potential, emit_spectrum, parse_report, parse_spectrum
 from oracles import mp_dhat
 
 
@@ -198,6 +198,41 @@ def test_bad_path_gives_exit_two(tmp_path, capsys, argv, path):
     assert len(err.splitlines()) == 1
     assert path.format(**names) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["eigen", "--potential", "{q}", "--count", "2", "--out", "{dir}"], id="eigen"),
+        pytest.param(["det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30", "--out", "{dir}"],
+                     id="det-roots"),
+        pytest.param(["reconstruct", "--degree", "1", "--eigs", "{eigs}", "--out", "{dir}"],
+                     id="reconstruct"),
+        pytest.param(["roundtrip", "--coeffs", "-0.5,1.25", "--out", "{dir}"],
+                     id="roundtrip-coeffs-out"),
+        pytest.param(["roundtrip", "--coeffs", "-0.5,1.25", "--csv", "{dir}"],
+                     id="roundtrip-coeffs-csv"),
+        pytest.param(["roundtrip", "--seed", "7", "--degree", "1", "--out", "{dir}"],
+                     id="roundtrip-seed-out"),
+        pytest.param(["roundtrip", "--seed", "7", "--degree", "1", "--csv", "{dir}"],
+                     id="roundtrip-seed-csv"),
+        pytest.param(["uniqueness", "--coeffs-a", "1", "--coeffs-b", "2", "--out", "{dir}"],
+                     id="uniqueness"),
+    ],
+)
+def test_unwritable_output_leaves_stdout_empty(tmp_path, capsys, argv):
+    # no document and no success summary may come before a write that fails
+    names = {
+        "dir": str(tmp_path),
+        "q": write(tmp_path, "q.json", emit_potential(ConstantPotential(0.0))),
+        "eigs": write(tmp_path, "eigs.json", emit_spectrum(Spectrum(((-0.5, 1), (1.0, 1))))),
+    }
+    assert main([a.format(**names) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and lines[0].endswith(str(tmp_path))
 
 
 def test_empty_spectrum_file_gives_exit_two(tmp_path, capsys):

@@ -7,12 +7,14 @@ from invspec import (
     InputError,
     Polynomial,
     Potential,
+    ReconstructionResult,
     RoundTripReport,
     SchemaError,
     Spectrum,
 )
 from invspec.fileio import (
     emit_potential,
+    emit_reconstruction,
     emit_report,
     emit_spectrum,
     parse_potential,
@@ -118,6 +120,21 @@ def test_malformed_documents():
         parse_report('{"recovered": [1.0]}')
     with pytest.raises(SchemaError, match="finite"):
         parse_potential('{"kind": "constant", "c": Infinity}')
+
+
+def test_reconstruction_document_gives_every_node_re_and_im():
+    # a reader may take z["im"] of any node without a default, even a real one
+    nodes = (-0.7331889155010706 + 0j, 0.6936165924948101 - 6.284327472275979j)
+    coeffs = (1.0 + 0j, 0.1 + 0.2j, -1 / 3 + 2.3869795029440866e-14j)
+    rec = ReconstructionResult(Polynomial(coeffs), (2.220446049250313e-16, 1e-17), 592.35)
+    doc = json.loads(emit_reconstruction(rec, nodes))
+    assert doc["nodes"] == [{"re": z.real, "im": z.imag} for z in nodes]
+    assert doc["recovered"][0] == 1.0
+    recovered = tuple(complex(c["re"], c["im"]) if isinstance(c, dict) else complex(c)
+                      for c in doc["recovered"])
+    assert recovered == coeffs
+    assert doc["condition"] == rec.vandermonde_condition
+    assert tuple(doc["node_residuals"]) == rec.node_residuals
 
 
 def test_round_trip_is_bit_exact_for_doubles():
