@@ -229,7 +229,13 @@ def count_zeros(prob: BoundaryPolynomialProblem, box: SearchBox) -> int:
 
     The first pass tests every segment between contour samples at once, in
     numpy.  Only the segments that fail it are bisected, one at a time and
-    in contour order, by the scalar loop.
+    in contour order, by the scalar loop.  The bisection stays scalar on
+    purpose: over the `roundtrip` benchmark's seed-1 items 0-299, a winding
+    bisects a mean of 6.2 midpoints (median 0), and one scalar
+    `_g_and_slope` costs about 3.4 us against about 46 us for one call on
+    an array of 4 points (2 shared vCPUs, Python 3.11, numpy 2.4).  So
+    batching each bisection round into one array call would cost more than
+    the whole scalar loop.
     """
     pts = _edge_points(box)
     vals, ders = _g_and_slope(prob, pts)

@@ -1,14 +1,21 @@
 """Command-line surface.
 
 Each `_cmd_*` writes its side files (`roundtrip --csv`) and returns
-(document or None, summary, exit code).  `main` then writes the document to
---out, or to stdout without one, and last the summary to stderr, so stdout
-always parses as JSON.  A failed write leaves stdout empty and prints one
-`error:` line instead of the summary.  With no document (an empty
-`det-roots` box), `main` removes a file an earlier run left at --out.
+(document, summary, exit code), or raises.  `main` then writes the document
+to --out, or to stdout without one, and last the summary to stderr, so
+stdout always parses as JSON.  A `uniqueness` FAIL returns its report with
+exit code 1, so it is still written.
 
-Exit codes: 0 success, 1 numerical failure or empty result (with
-diagnostic), 2 invalid input (bad arguments or malformed files).
+A run that raises leaves none of its output files: `main` removes each
+--out and --csv the run was given (a file an earlier run left there would
+pass for this result), prints one stderr line and no summary, and exits.
+A path the run also reads (--potential, --eigs) is never removed.  A usage
+error from argparse comes before the run and touches no file.  An empty
+`det-roots` box is a NumericalError: an empty spectrum has no file form.
+
+Exit codes: 0 success, 1 numerical failure or failed probe (with
+diagnostic), 2 invalid input (bad arguments, malformed files, or a path
+that cannot be read, written or removed).
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ def _cmd_det_roots(args):
     roots = find_det_eigenvalues(BoundaryPolynomialProblem(poly), box, args.max_roots)
     if not roots:
         # an empty spectrum has no valid file form (schema requires >= 1 entry)
-        return None, "no determinant zeros inside the box; no output written", 1
+        raise NumericalError("no determinant zeros inside the box; no output written")
     summary = f"found {len(roots)} zeros, multiplicity sum {sum(roots.multiplicities)}"
     return emit_spectrum(roots), summary, 0
 
@@ -223,6 +230,25 @@ def _merge_negative_values(argv):
     return out
 
 
+def _remove_outputs(args) -> None:
+    """Remove each --out and --csv of a failed run, except a path it also reads.
+
+    Every path is tried; a path that cannot be removed is raised after, in
+    place of the failure, since the file there could pass for a result.
+    """
+    reads = (getattr(args, "potential", None), getattr(args, "eigs", None))
+    inputs = {Path(p).resolve() for p in reads if p}
+    failed = None
+    for path in (args.out, getattr(args, "csv", None)):
+        if path and Path(path).resolve() not in inputs:
+            try:
+                Path(path).unlink(missing_ok=True)
+            except OSError as exc:
+                failed = failed or exc
+    if failed:
+        raise failed
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
@@ -233,15 +259,15 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad arguments, matching our input-error code
         return int(exc.code or 0)
     try:
-        doc, summary, code = args.func(args)
-        if doc is None:
-            # a file an earlier run left at --out must not pass for this result
+        try:
+            doc, summary, code = args.func(args)
             if args.out:
-                Path(args.out).unlink(missing_ok=True)
-        elif args.out:
-            save_text(args.out, doc)
-        else:
-            sys.stdout.write(doc)
+                save_text(args.out, doc)
+            else:
+                sys.stdout.write(doc)
+        except BaseException:
+            _remove_outputs(args)
+            raise
     except OSError as exc:
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         print(f"error: {reason}: {exc.filename}", file=sys.stderr)

@@ -87,12 +87,7 @@ def condition_estimate(nodes) -> float:
     nodes = np.asarray([as_finite_complex(z, "node") for z in nodes], dtype=complex)
     if len(nodes) == 0:
         raise InputError("condition estimate needs at least one node")
-    V = np.vander(nodes, increasing=True)
-    try:
-        inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return float("inf")
-    return float(np.abs(V).sum(axis=0).max()) * float(np.abs(inv).sum(axis=0).max())
+    return float(np.linalg.cond(np.vander(nodes, increasing=True), 1))
 
 
 def vandermonde_solve(nodes, values) -> Polynomial:

@@ -235,6 +235,83 @@ def test_unwritable_output_leaves_stdout_empty(tmp_path, capsys, argv):
     assert lines[0].startswith("error: ") and lines[0].endswith(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "success, failure, code",
+    [
+        pytest.param(["eigen", "--potential", "{q}", "--count", "3", "--out", "{out}"],
+                     ["eigen", "--potential", "{q}", "--count", "0", "--out", "{out}"], 2,
+                     id="eigen"),
+        pytest.param(["det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30", "--out", "{out}"],
+                     ["det-roots", "--coeffs", "3,4", "--box", "-8,8,-3000,3000", "--out", "{out}"],
+                     1, id="det-roots-max-roots"),
+        pytest.param(["reconstruct", "--degree", "1", "--eigs", "{eigs}", "--out", "{out}"],
+                     ["reconstruct", "--degree", "99", "--eigs", "{eigs}", "--out", "{out}"], 2,
+                     id="reconstruct"),
+        pytest.param(["roundtrip", "--coeffs", "-0.5,1.25", "--out", "{out}", "--csv", "{csv}"],
+                     ["roundtrip", "--coeffs", "1,2", "--box", "-800,-790,-1,1",
+                      "--out", "{out}", "--csv", "{csv}"], 1, id="roundtrip-coeffs"),
+        pytest.param(["roundtrip", "--seed", "7", "--degree", "1", "--out", "{out}", "--csv", "{csv}"],
+                     ["roundtrip", "--seed", "7", "--degree", "1", "--trials", "0",
+                      "--out", "{out}", "--csv", "{csv}"], 2, id="roundtrip-seed"),
+        pytest.param(["uniqueness", "--coeffs-a", "1", "--coeffs-b", "2", "--out", "{out}"],
+                     ["uniqueness", "--coeffs-a", "1", "--coeffs-b", "1,2", "--out", "{out}"], 2,
+                     id="uniqueness-unequal-degrees"),
+    ],
+)
+def test_failed_run_leaves_no_output_file(tmp_path, capsys, success, failure, code):
+    # a file a successful run left must not pass for the result of a failed one
+    out, csv = tmp_path / "out", tmp_path / "out.csv"
+    names = {
+        "out": str(out),
+        "csv": str(csv),
+        "q": write(tmp_path, "q.json", emit_potential(ConstantPotential(0.0))),
+        "eigs": write(tmp_path, "eigs.json", emit_spectrum(Spectrum(((-0.5, 1), (1.0, 1))))),
+    }
+    assert main([a.format(**names) for a in success]) == 0
+    named = [p for p, key in ((out, "{out}"), (csv, "{csv}")) if key in success]
+    assert named and all(p.exists() for p in named)
+    capsys.readouterr()
+    assert main([a.format(**names) for a in failure]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not any(p.exists() for p in named)
+
+
+@pytest.mark.parametrize("out, csv", [("dir", "r.csv"), ("r.json", "dir")])
+def test_failed_write_removes_the_other_output(tmp_path, capsys, out, csv):
+    names = {"dir": str(tmp_path), "r.json": str(tmp_path / "r.json"),
+             "r.csv": str(tmp_path / "r.csv")}
+    argv = ["roundtrip", "--coeffs", "-0.5,1.25"]
+    assert main(argv + ["--out", names["r.json"], "--csv", names["r.csv"]]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", names[out], "--csv", names[csv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: Is a directory: {tmp_path}"]
+    # the output that could be written, or was left by the earlier run, is gone
+    assert not (tmp_path / (csv if out == "dir" else out)).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["reconstruct", "--degree", "99", "--eigs", "{path}", "--out", "{same}"],
+                     emit_spectrum(Spectrum(((-0.5, 1), (1.0, 1)))), id="reconstruct"),
+        pytest.param(["eigen", "--potential", "{path}", "--count", "0", "--out", "{same}"],
+                     emit_potential(ConstantPotential(0.0)), id="eigen"),
+    ],
+)
+def test_failed_run_keeps_an_input_named_as_output(tmp_path, capsys, argv, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    before = path.read_bytes()
+    names = {"path": str(path), "same": f"{tmp_path}/./in.json"}
+    assert main([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert path.read_bytes() == before
+
+
 def test_empty_spectrum_file_gives_exit_two(tmp_path, capsys):
     empty = write(tmp_path, "empty.json", '{"entries": []}')
     rc = main(["reconstruct", "--degree", "0", "--eigs", empty])
