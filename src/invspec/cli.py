@@ -9,8 +9,9 @@ exit code 1, so it is still written.
 A run that raises leaves none of its output files: `main` removes each
 --out and --csv the run was given (a file an earlier run left there would
 pass for this result), prints one stderr line and no summary, and exits.
-A path the run also reads (--potential, --eigs) is never removed.  A usage
-error from argparse comes before the run and touches no file.  An empty
+Only a regular file is removed, and never a path the run also reads
+(--potential, --eigs).  A usage error from argparse comes before the run
+and touches no file.  An empty
 `det-roots` box is a NumericalError: an empty spectrum has no file form.
 
 Exit codes: 0 success, 1 numerical failure or failed probe (with
@@ -230,22 +231,31 @@ def _merge_negative_values(argv):
     return out
 
 
-def _remove_outputs(args) -> None:
+def _remove_outputs(args, error: BaseException) -> None:
     """Remove each --out and --csv of a failed run, except a path it also reads.
 
-    Every path is tried; a path that cannot be removed is raised after, in
-    place of the failure, since the file there could pass for a result.
+    Only a regular file is removed: a device or FIFO cannot pass for a
+    result, and removing a link (/dev/stdout is one) would not remove what
+    it points at.  Every path is tried.  A path that cannot
+    be removed is raised in place of a NumericalError, since exit 1 would not
+    say that a file is left; an input error, an OSError or an interrupt is
+    kept, as it names the run's own cause.
     """
     reads = (getattr(args, "potential", None), getattr(args, "eigs", None))
     inputs = {Path(p).resolve() for p in reads if p}
     failed = None
     for path in (args.out, getattr(args, "csv", None)):
-        if path and Path(path).resolve() not in inputs:
-            try:
-                Path(path).unlink(missing_ok=True)
-            except OSError as exc:
-                failed = failed or exc
-    if failed:
+        if not path:
+            continue
+        p = Path(path)
+        special = p.is_symlink() or (p.exists() and not (p.is_file() or p.is_dir()))
+        if special or p.resolve() in inputs:
+            continue
+        try:
+            p.unlink(missing_ok=True)
+        except OSError as exc:
+            failed = failed or exc
+    if failed and isinstance(error, NumericalError):
         raise failed
 
 
@@ -265,8 +275,8 @@ def main(argv=None) -> int:
                 save_text(args.out, doc)
             else:
                 sys.stdout.write(doc)
-        except BaseException:
-            _remove_outputs(args)
+        except BaseException as exc:
+            _remove_outputs(args, exc)
             raise
     except OSError as exc:
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror

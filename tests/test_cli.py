@@ -1,12 +1,13 @@
 import json
 import math
+import os
 import runpy
 import sys
 
 import mpmath as mp
 import pytest
 
-from invspec import workbench
+from invspec import cli, workbench
 from invspec.cli import main
 from invspec import ConstantPotential, CosinePotential, GridPotential, Spectrum
 from invspec.fileio import emit_potential, emit_spectrum, parse_report, parse_spectrum
@@ -184,6 +185,9 @@ def test_malformed_file_gives_exit_two(tmp_path, capsys):
         # an empty result deletes --out, and a directory there cannot be deleted
         pytest.param(["det-roots", "--coeffs", "0", "--box", "0.5,1.5,0.5,1.5", "--out", "{dir}"],
                      "{dir}", id="empty-result-out-is-a-directory"),
+        # the run's own input error is kept over the output it cannot remove
+        pytest.param(["eigen", "--potential", "{dir}/nope.json", "--count", "3", "--out", "{dir}"],
+                     "{dir}/nope.json", id="missing-input-out-is-a-directory"),
     ],
 )
 def test_bad_path_gives_exit_two(tmp_path, capsys, argv, path):
@@ -310,6 +314,37 @@ def test_failed_run_keeps_an_input_named_as_output(tmp_path, capsys, argv, text)
     assert main([a.format(**names) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_failed_run_keeps_an_output_that_is_not_a_regular_file(tmp_path, capsys, kind):
+    # stands in for --out /dev/null or /dev/stdout: removing it would not remove a result
+    target = tmp_path / "target.json"
+    target.write_text("{}")
+    out = tmp_path / "out"
+    if kind == "fifo":
+        os.mkfifo(out)
+    else:
+        out.symlink_to(target)
+    # the empty box fails before --out is opened, so the FIFO is never written
+    argv = ["det-roots", "--coeffs", "0", "--box", "0.5,1.5,0.5,1.5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert os.path.lexists(out) and target.read_text() == "{}"
+
+
+@pytest.mark.parametrize("out", ["file", "dir"])
+def test_interrupt_is_kept_over_a_failed_removal(tmp_path, monkeypatch, out):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "find_det_eigenvalues", interrupt)
+    path = tmp_path / "out.json" if out == "file" else tmp_path
+    if out == "file":
+        path.write_text("{}")
+    with pytest.raises(KeyboardInterrupt):
+        main(["det-roots", "--coeffs", "1,2", "--box", "-8,8,-30,30", "--out", str(path)])
+    assert path.exists() == (out == "dir")
 
 
 def test_empty_spectrum_file_gives_exit_two(tmp_path, capsys):
