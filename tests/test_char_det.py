@@ -600,6 +600,78 @@ def test_max_roots_counts_zeros_off_the_origin():
         find_det_eigenvalues(prob(0.0), box, 2)
 
 
+def spy_windings(monkeypatch):
+    """The box of every count_zeros call, in order."""
+    wound = []
+    count = char_det.count_zeros
+
+    def spy(p, box):
+        wound.append(box)
+        return count(p, box)
+
+    monkeypatch.setattr(char_det, "count_zeros", spy)
+    return wound
+
+
+def test_max_roots_is_exact_on_a_straddling_asymmetric_box(monkeypatch):
+    # a strip above the axis and its mirror image below both lie in the box
+    # up to Im = 5, so their zeros count twice; above it, once
+    p = prob(1.0, 2.0)
+    box = SearchBox(-8.0, 8.0, -5.0, 30.0)
+    n = count_zeros(p, box)
+    assert len(find_det_eigenvalues(p, box, n)) == n
+    wound = spy_windings(monkeypatch)
+    polished = []
+    polish = char_det._newton_polish
+    monkeypatch.setattr(
+        char_det, "_newton_polish", lambda pr, z, region: polished.append(region) or polish(pr, z, region)
+    )
+    with pytest.raises(NumericalError, match=f"more than max_roots={n - 1} zeros in the box"):
+        find_det_eigenvalues(p, box, n - 1)
+    # raised after the winding of the strip that passes max_roots, before its Newton start
+    assert wound[-1] not in polished and wound[-2] in polished
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 2.0), (0.5, 1.0, -0.3), (-0.88307565067498, 1.232614137367198)])
+def test_mirrored_search_keeps_each_zero_and_its_conjugate_in_the_box(coeffs):
+    # a real A: each box's roots are the symmetric search's roots inside it, bit for bit
+    p = prob(*coeffs)
+    full = find_det_eigenvalues(p, SearchBox(-8.0, 8.0, -30.0, 30.0), 80).values
+    for box in (
+        SearchBox(-8.0, 8.0, -5.0, 30.0),
+        SearchBox(-8.0, 8.0, -30.0, 5.0),
+        SearchBox(-8.0, 8.0, 2.0, 30.0),
+        SearchBox(-8.0, 8.0, -30.0, -2.0),
+    ):
+        roots = find_det_eigenvalues(p, box, 80).values
+        assert roots == tuple(z for z in full if box.contains(z)), box
+        assert len(roots) == count_zeros(p, box), box
+
+
+def test_a_real_whole_box_search_winds_only_above_the_axis(monkeypatch):
+    # the axis strip holds two zeros of 1 + 2 lam and is split once into 4
+    # children; the 13 strips above it hold 12 zeros, each paired with its
+    # conjugate below; a two-sided search winds the 13 strips below as
+    # well, 31 windings in all
+    wound = spy_windings(monkeypatch)
+    box = SearchBox(-8.0, 8.0, -80.0, 80.0)
+    roots = find_det_eigenvalues(prob(1.0, 2.0), box, 80)
+    assert len(roots) == 26
+    strips = [b for b in wound if b.width == box.width]
+    assert len(strips) == 14 and len(wound) == 18
+    assert all(b.im_min >= -math.pi for b in wound)
+
+
+def test_a_complex_search_winds_both_sides(monkeypatch):
+    # a complex A gets the two-sided layout: every strip of the box, in distance order
+    wound = spy_windings(monkeypatch)
+    box = SearchBox(-8.0, 8.0, -80.0, 80.0)
+    find_det_eigenvalues(prob(0.3 - 1j, -2.0, 0.0, 1.5), box, 80)
+    strips = [b for b in wound if b.width == box.width]
+    assert strips == [strip for _, strip, _ in sorted_strips(box, 0.0)]
+    assert len(wound) == 55
+
+
 def sorted_strips(box, shift):
     """Every strip of the box, made at once and sorted by (distance, Im min): the reference."""
     re0 = min(max(math.log(2.0), box.re_min), box.re_max)
@@ -616,11 +688,43 @@ def sorted_strips(box, shift):
     return sorted(strips, key=lambda e: (e[0], e[1].im_min))
 
 
+def mirrored_strips(box, shift):
+    """The mirrored layout of a real A, made at once from every cut: the reference.
+
+    The axis strip, then every gap between consecutive cuts above it, where
+    the cuts are the lines 2 pi (k + 1/2) + shift and the edges of the box
+    and of its mirror image; a gap is kept when it lies in the box (image
+    False) or its mirror does (image True).
+    """
+    re0 = min(max(math.log(2.0), box.re_min), box.re_max)
+    dx = max(box.re_min, 0.0, -box.re_max)
+    axis = TWO_PI * 0.5 + shift
+    top = max(box.im_max, -box.im_min)
+    lines = [TWO_PI * (k + 0.5) + shift for k in range(math.ceil(top / TWO_PI) + 2)]
+    edges = (box.im_min, box.im_max, -box.im_min, -box.im_max)
+    cuts = sorted({c for c in (*lines, *edges) if axis <= c <= top})
+    strips = []
+    lo, hi = max(box.im_min, -axis), min(box.im_max, axis)
+    if lo < hi:
+        strips.append((math.hypot(dx, max(lo, 0.0, -hi)), SearchBox(box.re_min, box.re_max, lo, hi),
+                       complex(re0, min(max(0.0, lo), hi)), None))
+    for lo, hi in zip(cuts, cuts[1:]):
+        images = tuple(flip for flip, (a, b) in enumerate(
+            ((box.im_min, box.im_max), (-box.im_max, -box.im_min))) if a <= lo and hi <= b)
+        if images:
+            k = math.floor((0.5 * (lo + hi) - shift) / TWO_PI + 0.5)
+            start = complex(re0, min(max(TWO_PI * k, lo), hi))
+            strip = SearchBox(box.re_min, box.re_max, lo, hi)
+            strips.append((math.hypot(dx, lo), strip, start, tuple(map(bool, images))))
+    return sorted(strips, key=lambda e: (e[0], e[1].im_min))
+
+
 def test_lazy_strips_keep_the_sorted_order(rng):
     # far from the imaginary axis the distances of nearby strips round to
     # the same float, and the tie goes to the strip below
     shifts = [row[0] for row in char_det._ATTEMPTS]
     ties = 0
+    images = set()
     for i in range(1000):
         height = float(rng.choice((1.0, 10.0, 100.0, 1000.0)))
         im_min = float(rng.uniform(-height, height))
@@ -634,9 +738,16 @@ def test_lazy_strips_keep_the_sorted_order(rng):
         shift = shifts[i % 6] if i % 2 else float(rng.uniform(-50.0, 50.0))
         box = SearchBox(re_min, re_max, im_min, im_max)
         want = sorted_strips(box, shift)
-        assert list(char_det._strips(box, shift)) == want, (box, shift)
+        assert list(char_det._strips(box, shift, False)) == [(*e, None) for e in want], (box, shift)
         ties += len({d for d, _, _ in want}) < len(want)
+        # a real A: the same box, mirrored, with the axis strip's top line above the axis
+        shift = shifts[i % 6] if i % 2 else float(rng.uniform(-3.0, 3.0))
+        want = mirrored_strips(box, shift)
+        assert list(char_det._strips(box, shift, True)) == want, (box, shift)
+        images.update(e[3] for e in want)
     assert ties >= 50
+    # the axis strip, strips in the box alone, mirrors alone, and both
+    assert images == {None, (False,), (True,), (False, True)}
 
 
 def test_a_tall_box_makes_few_strips_before_max_roots(monkeypatch):

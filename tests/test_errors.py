@@ -94,7 +94,7 @@ def degree_mismatch(monkeypatch, tmp_path):
         (too_few_roots, NumericalError, "needed 1 determinant roots but found 0", 1,
          "numerical failure: needed 1 determinant roots but found 0 in the search box"),
         (max_roots, NumericalError, "more than max_roots=10 zeros in the box", 1,
-         "numerical failure: more than max_roots=10 zeros in the box (10 already located)"),
+         "numerical failure: more than max_roots=10 zeros in the box (9 already located)"),
         (degree_mismatch, InputError, "polynomials are incomparable: degrees 0 != 1", 2,
          "error: polynomials are incomparable: degrees 1 != 2"),
     ],
