@@ -19,11 +19,13 @@ per horizontal strip of height 2 pi.  The search box is therefore cut into
 such strips, each counted by one winding and, nearest the origin first,
 solved by Newton on g from its asymptotic zero; recursive quadrisection
 isolates the zeros of any strip Newton does not solve (Delves and Lyness,
-Math. Comp. 21, 1967).  When A is real, g(conj lam) = conj g(lam), so the
-cut lines are laid symmetric about the real axis: the strip holding the
-axis is searched whole, and each strip above it is wound and solved once
-for itself and its mirror image, giving each zero and its exact conjugate
-wherever they lie in the box.
+Math. Comp. 21, 1967).  For every A the cut lines are laid symmetric about
+the real axis: the strip holding the axis is searched whole, and each strip
+above it also stands for its mirror image, whose zeros are the conjugates
+of those of conj(A) in the strip.  When A is real, g(conj lam) =
+conj g(lam), so one winding and one solve serve both images and give each
+zero and its exact conjugate wherever they lie in the box; a complex A
+winds and solves each mirror image itself.
 
 Each point, or array of points, gets g and g' from one evaluation (one
 e^{-lam}, one A(lam)), and `count_zeros` is the one winding for all boxes.
@@ -32,7 +34,6 @@ e^{-lam}, one A(lam)), and `count_zeros` is the one winding for all boxes.
 from __future__ import annotations
 
 import cmath
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -311,11 +312,11 @@ def _newton_polish(prob, z0: complex, region: SearchBox):
 
 
 # One row per search attempt: (cut-line shift, re and im split fractions).
-# Each shift keeps the cut lines at least 2.3 away from every asymptotic
-# zero, and so do the mirrored lines -(2 pi (k + 1/2) + shift) of a real A,
-# since |shift| <= 0.83 < pi - 2.3; the imaginary fractions stay off 0.5,
-# since a symmetric box would otherwise put its split line exactly on the
-# real axis, where real-coefficient zeros live.
+# The cut lines +-(2 pi (k + 1/2) + shift) keep at least 2.3 away from every
+# asymptotic zero ln 2 + 2 pi i k, above the axis and below it, since
+# |shift| <= 0.83 < pi - 2.3; the imaginary fractions stay off 0.5, since a
+# symmetric box would otherwise put its split line exactly on the real
+# axis, where real-coefficient zeros live.
 _ATTEMPTS = (
     (0.0, 0.5, 0.511),
     (0.37, 0.53, 0.489),
@@ -326,29 +327,31 @@ _ATTEMPTS = (
 )
 
 
-def _strips(box: SearchBox, shift: float, mirrored: bool):
-    """The box cut at Im = 2 pi (k + 1/2) + shift, nearest the origin first.
+def _strips(box: SearchBox, shift: float):
+    """The box cut at Im = +-(2 pi (k + 1/2) + shift), nearest the origin first.
 
     Yields (distance from the origin, strip, Newton start, images), the
     start being the asymptotic zero ln 2 + 2 pi i k clamped into the strip.
     A tall box has millions of strips and a search may stop after a few, so
     they are made lazily.
 
-    Unmirrored (complex A), images is None: every strip lies in the box.
-    The strips reaching above the real axis come nearest first as k rises,
-    those below it as k falls, and the two runs are merged; ties in
-    distance go to the strip below.
-
-    Mirrored (real A), the cut lines are +-(2 pi (k + 1/2) + shift), so the
-    layout is symmetric about the real axis.  The axis strip, between the
-    two lines nearest the axis and cut by the box, comes first with images
-    None.  Then the strips above it cover box | conj(box) there, cut once
-    more at the mirror of the box edge nearer the axis, so each lies in the
-    box, has its mirror image in the box, or both.  Their images are the
-    copies of a zero located in the strip that lie in the box: False for
-    the zero itself, True for its conjugate.  A pair so made is exact by
-    construction, and the strips below the axis strip are never wound.
+    The layout is symmetric about the real axis.  The axis strip, between
+    the two lines nearest the axis and cut by the box, comes first with
+    images None.  Then the strips above it cover box | conj(box) there, cut
+    once more at the mirror of the box edge nearer the axis, so each lies in
+    the box, has its mirror image in the box, or both.  Their images say
+    which of the two lie in the box: False for the strip itself, True for
+    its mirror image.  No strip below the axis strip is made.  NumericalError
+    before the first strip when the box reaches so far from the axis that
+    cut lines 2 pi apart could round to one float.
     """
+    top = max(box.im_max, -box.im_min)
+    # each cut line is computed to within ulp(top), so two neighbours stay apart below 2 ulp = 2 pi
+    if 2.0 * math.ulp(top) >= _TWO_PI:
+        raise NumericalError(
+            f"cut lines 2 pi apart round to one float at |Im lam| = {top:g}: "
+            f"the box reaches too far from the real axis"
+        )
     re0 = min(max(math.log(2.0), box.re_min), box.re_max)
     dx = max(box.re_min, 0.0, -box.re_max)
 
@@ -357,111 +360,115 @@ def _strips(box: SearchBox, shift: float, mirrored: bool):
         dist = math.hypot(dx, max(lo, 0.0, -hi))
         return dist, SearchBox(box.re_min, box.re_max, lo, hi), start, images
 
-    if mirrored:
-        cut = _TWO_PI * 0.5 + shift
-        if max(box.im_min, -cut) < min(box.im_max, cut):
-            yield strip(max(box.im_min, -cut), min(box.im_max, cut), 0)
-        # above the axis strip: the box's own part, and the mirror of its part below
-        parts = [
-            (max(lo, cut), hi, flip)
-            for lo, hi, flip in ((box.im_min, box.im_max, False), (-box.im_max, -box.im_min, True))
-            if max(lo, cut) < hi
-        ]
-        if not parts:
-            return
-        bottom, top = min(p[0] for p in parts), max(p[1] for p in parts)
-        # two parts both start at the axis strip; the lower top is one more cut
-        inner = min(p[1] for p in parts)
-        for k in itertools.count(max(1, math.floor((bottom - shift) / _TWO_PI + 0.5))):
-            lo = max(bottom, _TWO_PI * (k - 0.5) + shift)
-            if lo >= top:
-                return
-            hi = min(top, _TWO_PI * (k + 0.5) + shift)
-            for a, b in ((lo, min(hi, inner)), (max(lo, inner), hi)):
-                if a < b:
-                    images = tuple(f for p_lo, p_hi, f in parts if p_lo <= a and b <= p_hi)
-                    yield strip(a, b, k, images)
+    cut = _TWO_PI * 0.5 + shift
+    if max(box.im_min, -cut) < min(box.im_max, cut):
+        yield strip(max(box.im_min, -cut), min(box.im_max, cut), 0)
+    # above the axis strip: the box's own part, and the mirror of its part below
+    parts = [
+        (max(lo, cut), hi, flip)
+        for lo, hi, flip in ((box.im_min, box.im_max, False), (-box.im_max, -box.im_min, True))
+        if max(lo, cut) < hi
+    ]
+    if not parts:
         return
-
-    k_lo = math.floor((box.im_min - shift) / _TWO_PI + 0.5)
-    k_hi = math.ceil((box.im_max - shift) / _TWO_PI - 0.5)
-    # strip k0 holds the real axis (k0 clamped to the box); distance grows from it both ways
-    k0 = min(max(math.floor(-shift / _TWO_PI + 0.5), k_lo), k_hi + 1)
-
-    def side(ks):
-        for k in ks:
-            lo = max(box.im_min, _TWO_PI * (k - 0.5) + shift)
-            hi = min(box.im_max, _TWO_PI * (k + 0.5) + shift)
-            if lo < hi:
-                yield math.hypot(dx, max(lo, 0.0, -hi)), lo, hi, k
-
-    # the merge puts distances in order; below the axis a run of equal
-    # distance comes with Im min falling, so each run is sorted again
-    merged = heapq.merge(side(range(k0, k_hi + 1)), side(range(k0 - 1, k_lo - 1, -1)))
-    for _, run in itertools.groupby(merged, key=lambda e: e[0]):
-        for _, lo, hi, k in sorted(run):
-            yield strip(lo, hi, k)
+    bottom = min(p[0] for p in parts)
+    # two parts both start at the axis strip; the lower top is one more cut
+    inner = min(p[1] for p in parts)
+    for k in itertools.count(max(1, math.floor((bottom - shift) / _TWO_PI + 0.5))):
+        lo = max(bottom, _TWO_PI * (k - 0.5) + shift)
+        if lo >= top:
+            return
+        hi = min(top, _TWO_PI * (k + 0.5) + shift)
+        for a, b in ((lo, min(hi, inner)), (max(lo, inner), hi)):
+            if a < b:
+                images = tuple(f for p_lo, p_hi, f in parts if p_lo <= a and b <= p_hi)
+                yield strip(a, b, k, images)
 
 
 def _collect_roots(prob, box: SearchBox, max_roots: int, nearest: int | None, row):
     """Strip-by-strip search with one row of _ATTEMPTS; returns the located zeros, each simple.
 
-    Returns (zeros of the strips searched as they lie, zeros from mirrored
-    strips); for a real A the first list is the axis strip's.  Each strip
-    gets one winding.  A strip of count 1 is solved by Newton from its
-    start; a strip that Newton misses, or that holds more zeros, is
-    quadrisected with its known count, at the row's split fractions, so
-    every count comes from a winding.  A mirrored strip is wound and solved
-    once, and each zero z located in it gives z and conj(z) wherever they
-    lie in the box; the max_roots tally adds its count once per copy in the
-    box before it is solved.  With `nearest`, the search stops before the
-    first strip that lies farther from the origin than the nearest-th
-    smallest modulus located.  BoundaryZeroError when a zero sits on a
-    contour, a count is negative, or a split's counts disagree.
+    A strip of count 1 is solved by Newton from its start; a strip that
+    Newton misses, or that holds more zeros, is quadrisected with its known
+    count, at the row's split fractions.  The zeros of A in a strip's
+    mirror image are the conjugates of those of conj(A) in the strip, so a
+    mirror image is searched as the strip of the conjugate problem.  For a
+    real A that is A itself: one winding and one solve serve both images,
+    and each zero z located gives z and conj(z) wherever they lie in the
+    box.  A complex A winds and solves each image itself.
+    The max_roots tally adds each count once per image it serves, before
+    the zeros are solved.  With `nearest`, the search stops before the
+    first strip farther from the origin than the nearest-th smallest
+    modulus located.
+
+    For a real A, a pair from a mirrored strip is exact by construction.
+    Within the axis strip, each zero below the real axis whose mirror image
+    was located is replaced by that zero's exact conjugate, and a zero
+    within the cluster radius of the axis with no mirror image is made
+    exactly real.  BoundaryZeroError when a zero sits on a contour, a count
+    is negative, or a split's counts disagree.
     """
     shift, fr, fi = row
-    whole: list[complex] = []
+    axis: list[complex] = []
     paired: list[complex] = []
 
-    def visit(bx: SearchBox, count: int, depth: int, start: complex, found: list):
+    def visit(p, bx: SearchBox, count: int, depth: int, start: complex, found: list):
         if count == 0:
             return
         if count == 1:
-            z = _newton_polish(prob, start, bx)
+            z = _newton_polish(p, start, bx)
             if z is not None and bx.contains(z):
                 found.append(z)
                 return
         if depth > 64:
             raise NumericalError(f"quadrisection depth exceeded near {bx.center!r}")
         kids = bx.split(fr, fi)
-        counts = [count_zeros(prob, k) for k in kids]
+        counts = [count_zeros(p, k) for k in kids]
         # a zero hugging one of the new edges can corrupt two children at
         # once; a disagreeing sum exposes it, and the next attempt moves the lines
         if sum(counts) != count:
             msg = f"split of the box at {bx.center!r}: children count {counts}, parent {count}"
             raise BoundaryZeroError(bx.center, msg)
         for k, c in zip(kids, counts):
-            visit(k, c, depth + 1, k.center, found)
+            visit(p, k, c, depth + 1, k.center, found)
 
-    mirrored = all(c.imag == 0.0 for c in prob.poly.coeffs)
+    real = all(c.imag == 0.0 for c in prob.poly.coeffs)
+    # the problem of conj(A); a real A's is A itself
+    mirror = prob if real else BoundaryPolynomialProblem(
+        Polynomial(tuple(c.conjugate() for c in prob.poly.coeffs))
+    )
     total = 0
-    for dist, strip, start, images in _strips(box, shift, mirrored):
-        moduli = sorted(abs(z) for z in itertools.chain(whole, paired))
+    for dist, strip, start, images in _strips(box, shift):
+        moduli = sorted(abs(z) for z in itertools.chain(axis, paired))
         if nearest and len(moduli) >= nearest and moduli[nearest - 1] < dist:
             break
-        count = count_zeros(prob, strip)
-        total += count * (1 if images is None else len(images))
-        if total > max_roots:
-            raise NumericalError(
-                f"more than max_roots={max_roots} zeros in the box ({len(moduli)} already located)"
-            )
-        if images is None:
-            visit(strip, count, 0, start, whole)
-            continue
-        located: list[complex] = []
-        visit(strip, count, 0, start, located)
-        paired.extend(z.conjugate() if flip else z for z in located for flip in images)
-    return whole, paired
+        found = axis if images is None else paired
+        images = images or (False,)
+        # one winding and one solve serve a real A's strip and its mirror image
+        for flips in [images] if real else [(flip,) for flip in images]:
+            p = mirror if flips[0] else prob
+            count = count_zeros(p, strip)
+            total += count * len(flips)
+            if total > max_roots:
+                raise NumericalError(
+                    f"more than max_roots={max_roots} zeros in the box "
+                    f"({len(moduli)} already located)"
+                )
+            located: list[complex] = []
+            visit(p, strip, count, 0, start, located)
+            found.extend(z.conjugate() if flip else z for z in located for flip in flips)
+
+    if real:
+        # the axis strip's zeros; the mirrored strips' come in exact pairs already
+        located = list(axis)
+        for i, z in enumerate(located):
+            mirrored = (w for w in located if w.imag * z.imag < 0.0)
+            partner = next((w for w in mirrored if abs(w.conjugate() - z) <= CLUSTER_RADIUS), None)
+            if partner is None and 0.0 < abs(z.imag) <= CLUSTER_RADIUS:
+                axis[i] = complex(z.real, 0.0)
+            elif partner is not None and z.imag < 0.0:
+                axis[i] = partner.conjugate()
+    return axis + paired
 
 
 def find_det_eigenvalues(
@@ -478,37 +485,24 @@ def find_det_eigenvalues(
     _ATTEMPTS: the cut lines shifted, the split fractions moved, and the box
     nudged outward by the cluster radius.  Every zero is returned with
     multiplicity 1: a multiple zero makes |g| vanish to second order, so
-    some contour near it raises BoundaryZeroError.  For a real A the zeros
-    are real or come in conjugate pairs.  Above and below the axis strip a
-    pair comes from one solve, exact by construction (see _strips).  Within
-    the axis strip, each zero below the real axis whose mirror image was
-    located is replaced by that zero's exact conjugate, and a zero within
-    the cluster radius of the axis with no mirror image is made exactly
-    real.  Sorted, a pair lists -im first.
+    some contour near it raises BoundaryZeroError.  Every A is searched on
+    the one layout of _strips, folded about the real axis: a real A's zeros
+    come out real or in exact conjugate pairs (see _collect_roots), and a
+    complex A winds and solves each mirror image itself.  Sorted, a pair
+    lists -im first.
     """
     max_roots = as_count(max_roots, "max_roots")
     if nearest is not None:
         nearest = as_count(nearest, "nearest")
     for attempt, row in enumerate(_ATTEMPTS, 1):
         try:
-            roots, paired = _collect_roots(prob, box, max_roots, nearest, row)
+            roots = _collect_roots(prob, box, max_roots, nearest, row)
             break
         except BoundaryZeroError:
             if attempt == len(_ATTEMPTS):
                 raise
             box = box.expanded(CLUSTER_RADIUS * attempt * 1.618)
 
-    if all(c.imag == 0.0 for c in prob.poly.coeffs):
-        # the axis strip's zeros; the mirrored strips' come in exact pairs already
-        located = list(roots)
-        for i, z in enumerate(located):
-            mirrored = (w for w in located if w.imag * z.imag < 0.0)
-            partner = next((w for w in mirrored if abs(w.conjugate() - z) <= CLUSTER_RADIUS), None)
-            if partner is None and 0.0 < abs(z.imag) <= CLUSTER_RADIUS:
-                roots[i] = complex(z.real, 0.0)
-            elif partner is not None and z.imag < 0.0:
-                roots[i] = partner.conjugate()
-    roots += paired
     roots.sort(key=lambda z: (z.real, z.imag))
     for z in roots:
         residual = abs(delta_scaled_eval(prob, z))

@@ -60,6 +60,7 @@ class ExperimentConfig:
     trials: int = 1
 
     def __post_init__(self):
+        as_count(self.seed, "seed", 0)
         as_count(self.trials, "trials")
         lo, hi = self.degree_range
         if lo < 0 or hi < lo:

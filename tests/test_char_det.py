@@ -615,21 +615,23 @@ def spy_windings(monkeypatch):
 
 def test_max_roots_is_exact_on_a_straddling_asymmetric_box(monkeypatch):
     # a strip above the axis and its mirror image below both lie in the box
-    # up to Im = 5, so their zeros count twice; above it, once
-    p = prob(1.0, 2.0)
+    # up to Im = 5, so their zeros count twice (a complex A winds the two
+    # images apart); above it, once
     box = SearchBox(-8.0, 8.0, -5.0, 30.0)
-    n = count_zeros(p, box)
-    assert len(find_det_eigenvalues(p, box, n)) == n
-    wound = spy_windings(monkeypatch)
-    polished = []
-    polish = char_det._newton_polish
+    events = []
+    count, polish = char_det.count_zeros, char_det._newton_polish
+    monkeypatch.setattr(char_det, "count_zeros", lambda pr, b: events.append("wind") or count(pr, b))
     monkeypatch.setattr(
-        char_det, "_newton_polish", lambda pr, z, region: polished.append(region) or polish(pr, z, region)
+        char_det, "_newton_polish", lambda pr, z, region: events.append("polish") or polish(pr, z, region)
     )
-    with pytest.raises(NumericalError, match=f"more than max_roots={n - 1} zeros in the box"):
-        find_det_eigenvalues(p, box, n - 1)
-    # raised after the winding of the strip that passes max_roots, before its Newton start
-    assert wound[-1] not in polished and wound[-2] in polished
+    for p in (prob(1.0, 2.0), prob(0.3 - 1j, -2.0, 0.0, 1.5)):
+        n = count_zeros(p, box)
+        assert len(find_det_eigenvalues(p, box, n)) == n
+        events.clear()
+        with pytest.raises(NumericalError, match=f"more than max_roots={n - 1} zeros in the box"):
+            find_det_eigenvalues(p, box, n - 1)
+        # raised after the winding that passes max_roots, before its Newton start
+        assert events[-2:] == ["polish", "wind"]
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 2.0), (0.5, 1.0, -0.3), (-0.88307565067498, 1.232614137367198)])
@@ -663,33 +665,44 @@ def test_a_real_whole_box_search_winds_only_above_the_axis(monkeypatch):
 
 
 def test_a_complex_search_winds_both_sides(monkeypatch):
-    # a complex A gets the two-sided layout: every strip of the box, in distance order
+    # a complex A is searched on the folded layout too, but each strip above
+    # the axis strip is wound once for itself and once, as the strip of
+    # conj(A), for its mirror image below
     wound = spy_windings(monkeypatch)
-    box = SearchBox(-8.0, 8.0, -80.0, 80.0)
-    find_det_eigenvalues(prob(0.3 - 1j, -2.0, 0.0, 1.5), box, 80)
-    strips = [b for b in wound if b.width == box.width]
-    assert strips == [strip for _, strip, _ in sorted_strips(box, 0.0)]
-    assert len(wound) == 55
+    p = prob(0.3 - 1j, -2.0, 0.0, 1.5)
+    for im_min, im_max, windings in ((-80.0, 80.0, 55), (-5.0, 30.0, 36)):
+        wound.clear()
+        box = SearchBox(-8.0, 8.0, im_min, im_max)
+        roots = find_det_eigenvalues(p, box, 80)
+        assert len(wound) == windings
+        assert all(b.im_min >= -math.pi for b in wound)
+        assert len(roots) == count_zeros(p, box)
 
 
-def sorted_strips(box, shift):
-    """Every strip of the box, made at once and sorted by (distance, Im min): the reference."""
-    re0 = min(max(math.log(2.0), box.re_min), box.re_max)
-    dx = max(box.re_min, 0.0, -box.re_max)
-    strips = []
-    k_lo = math.floor((box.im_min - shift) / TWO_PI + 0.5)
-    for k in range(k_lo, math.ceil((box.im_max - shift) / TWO_PI - 0.5) + 1):
-        lo = max(box.im_min, TWO_PI * (k - 0.5) + shift)
-        hi = min(box.im_max, TWO_PI * (k + 0.5) + shift)
-        if lo < hi:
-            start = complex(re0, min(max(TWO_PI * k, lo), hi))
-            strip = SearchBox(box.re_min, box.re_max, lo, hi)
-            strips.append((math.hypot(dx, max(lo, 0.0, -hi)), strip, start))
-    return sorted(strips, key=lambda e: (e[0], e[1].im_min))
+@pytest.mark.parametrize("coeffs", [(0.3 - 1j, -2.0, 0.0, 1.5), (1j,), (-0.7 + 0.4j, 1.1 - 0.9j)])
+def test_a_complex_search_conjugates_with_its_box(coeffs):
+    # the zeros of conj(A) are the conjugates of A's, on every kind of box
+    p = prob(*coeffs)
+    q = prob(*(c.conjugate() for c in p.poly.coeffs))
+    full = find_det_eigenvalues(p, SearchBox(-8.0, 8.0, -30.0, 30.0), 80).values
+    assert len(full) == count_zeros(p, SearchBox(-8.0, 8.0, -30.0, 30.0))
+    for box in (
+        SearchBox(-8.0, 8.0, -20.0, 20.0),
+        SearchBox(-8.0, 8.0, -5.0, 30.0),
+        SearchBox(-8.0, 8.0, -30.0, 5.0),
+        SearchBox(-8.0, 8.0, 2.0, 30.0),
+        SearchBox(-8.0, 8.0, -30.0, -2.0),
+    ):
+        roots = find_det_eigenvalues(p, box, 80)
+        assert len(roots) == count_zeros(p, box), box
+        assert_same_roots(roots, [(z, 1) for z in full if box.contains(z)], rel=1e-14)
+        flipped = SearchBox(box.re_min, box.re_max, -box.im_max, -box.im_min)
+        mirrored = [(z.conjugate(), 1) for z in roots.values]
+        assert_same_roots(find_det_eigenvalues(q, flipped, 80), mirrored, rel=1e-14)
 
 
 def mirrored_strips(box, shift):
-    """The mirrored layout of a real A, made at once from every cut: the reference.
+    """The layout folded about the real axis, made at once from every cut: the reference.
 
     The axis strip, then every gap between consecutive cuts above it, where
     the cuts are the lines 2 pi (k + 1/2) + shift and the edges of the box
@@ -721,7 +734,7 @@ def mirrored_strips(box, shift):
 
 def test_lazy_strips_keep_the_sorted_order(rng):
     # far from the imaginary axis the distances of nearby strips round to
-    # the same float, and the tie goes to the strip below
+    # the same float; the axis strip's top line stays above the axis
     shifts = [row[0] for row in char_det._ATTEMPTS]
     ties = 0
     images = set()
@@ -735,19 +748,30 @@ def test_lazy_strips_keep_the_sorted_order(rng):
         re_max = re_min + max(1e-3, abs(re_min) * float(rng.uniform(0.0, 1e-3)))
         if i % 7 == 0:
             re_min, re_max = -8.0, 8.0
-        shift = shifts[i % 6] if i % 2 else float(rng.uniform(-50.0, 50.0))
-        box = SearchBox(re_min, re_max, im_min, im_max)
-        want = sorted_strips(box, shift)
-        assert list(char_det._strips(box, shift, False)) == [(*e, None) for e in want], (box, shift)
-        ties += len({d for d, _, _ in want}) < len(want)
-        # a real A: the same box, mirrored, with the axis strip's top line above the axis
         shift = shifts[i % 6] if i % 2 else float(rng.uniform(-3.0, 3.0))
+        box = SearchBox(re_min, re_max, im_min, im_max)
         want = mirrored_strips(box, shift)
-        assert list(char_det._strips(box, shift, True)) == want, (box, shift)
+        assert list(char_det._strips(box, shift)) == want, (box, shift)
+        ties += len({e[0] for e in want}) < len(want)
         images.update(e[3] for e in want)
     assert ties >= 50
     # the axis strip, strips in the box alone, mirrors alone, and both
     assert images == {None, (False,), (True,), (False, True)}
+
+
+def test_a_box_too_far_from_the_axis_raises_before_any_winding(monkeypatch):
+    # at |Im| = 1e20 cut lines 2 pi apart round to one float, so the strips
+    # between them would vanish and the search step through ~1e19 of them
+    wound = spy_windings(monkeypatch)
+    for coeffs in ((1.0,), (1j,)):
+        for box in (SearchBox(-8.0, 8.0, 1e20, 2e20), SearchBox(-8.0, 8.0, -2e20, -1e20),
+                    SearchBox(-8.0, 8.0, -1.0, 2.0**54)):
+            with pytest.raises(NumericalError, match="round to one float"):
+                find_det_eigenvalues(prob(*coeffs), box, 80)
+    assert wound == []
+    # just inside the limit the lines stay apart, and max_roots ends the search
+    with pytest.raises(NumericalError, match="more than max_roots=10"):
+        find_det_eigenvalues(prob(1.0), SearchBox(-8.0, 8.0, -1.0, 2.0**54 - 4.0), 10)
 
 
 def test_a_tall_box_makes_few_strips_before_max_roots(monkeypatch):

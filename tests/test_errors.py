@@ -71,6 +71,18 @@ def max_roots(monkeypatch, tmp_path):
     return lambda: find_det_eigenvalues(prob, SearchBox(-8.0, 8.0, -1e5, 1e5), 10), argv
 
 
+def far_box(monkeypatch, tmp_path):
+    # cut lines 2 pi apart round to one float this far from the real axis
+    prob = BoundaryPolynomialProblem(Polynomial((1.0,)))
+    argv = ["det-roots", "--coeffs", "1", "--box", "-8,8,1e20,2e20"]
+    return lambda: find_det_eigenvalues(prob, SearchBox(-8.0, 8.0, 1e20, 2e20), 80), argv
+
+
+def negative_seed(monkeypatch, tmp_path):
+    argv = ["roundtrip", "--seed", "-1", "--degree", "1"]
+    return lambda: ExperimentConfig(seed=-1, degree_range=(1, 1)), argv
+
+
 def degree_mismatch(monkeypatch, tmp_path):
     # a recovery one degree too high reaches the comparison inside the round trip
     recover = workbench.reconstruct_coeffs
@@ -95,6 +107,11 @@ def degree_mismatch(monkeypatch, tmp_path):
          "numerical failure: needed 1 determinant roots but found 0 in the search box"),
         (max_roots, NumericalError, "more than max_roots=10 zeros in the box", 1,
          "numerical failure: more than max_roots=10 zeros in the box (9 already located)"),
+        (far_box, NumericalError, "cut lines 2 pi apart round to one float", 1,
+         "numerical failure: cut lines 2 pi apart round to one float at |Im lam| = 2e+20: "
+         "the box reaches too far from the real axis"),
+        (negative_seed, InputError, "seed must be >= 0, got -1", 2,
+         "error: seed must be >= 0, got -1"),
         (degree_mismatch, InputError, "polynomials are incomparable: degrees 0 != 1", 2,
          "error: polynomials are incomparable: degrees 1 != 2"),
     ],

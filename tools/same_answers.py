@@ -4,7 +4,7 @@
 
 REV's `src/` is extracted with `git archive` into a temporary directory, and
 each tree answers one fixed set in its own subprocess, with its own `src/`
-first on the import path. Two groups are compared:
+first on the import path. Three groups are compared:
 
 * `det_roots`: the determinant zeros of 2,700 searches. The coefficients are
   perfbench's `coefficient_params` draws for seeds 1, 2 and 7, items 0-299;
@@ -13,6 +13,10 @@ first on the import path. Two groups are compared:
 * `det_files`: the `det-roots` and `reconstruct` files, exit codes, stdout
   and stderr of perfbench's `det_files` items, seed 1, items 0-149, run
   through `cli.main` in process, with every `wall_time_ms` masked.
+* `complex_roots`: the determinant zeros of 900 searches of complex A: 300
+  polynomials of degree 0-3 whose real and imaginary parts are uniform in
+  [-2, 2], drawn from a fixed generator here, each searched whole on
+  `DET_BOX`, on -8,8,-5,30 and on -8,8,-30,5.
 
 For each group it prints how many entries are bit-identical and the largest
 move, and it lists the entries that moved. A move is the largest
@@ -22,7 +26,7 @@ in anything else (a count, an error, a string) is an infinite move. It exits
 Searches that needed more than one search attempt are counted per tree,
 where the tree has `char_det._collect_roots`.
 
-This is a development check, not a test: the two trees take about 15 s each
+This is a development check, not a test: the two trees take about 16 s each
 on two cores.
 """
 
@@ -44,11 +48,14 @@ SEEDS = (1, 2, 7)
 ITEMS = 300
 FILE_ITEMS = 150
 WIDE_BOX = (-10.0, 10.0, -80.0, 80.0)
+COMPLEX_ITEMS = 300
+COMPLEX_BOXES = ((-8.0, 8.0, -5.0, 30.0), (-8.0, 8.0, -30.0, 5.0))
 
 
 def answer_set() -> dict:
     """The fixed inputs, drawn once here and sent to both trees."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import numpy as np
     from workloads import DET_BOX, coefficient_params
     from invspec.workbench import DEFAULT_BOX
 
@@ -64,6 +71,14 @@ def answer_set() -> dict:
             ):
                 searches.append({"id": f"seed {seed} item {index} {name}", "coeffs": p["coeffs"],
                                  "box": list(box), "nearest": nearest})
+    # complex coefficients travel as [re, im] pairs
+    rng = np.random.default_rng(20261021)
+    complex_searches = []
+    for index in range(COMPLEX_ITEMS):
+        coeffs = rng.uniform(-2.0, 2.0, (int(rng.integers(0, 4)) + 1, 2)).tolist()
+        for box in (DET_BOX, *COMPLEX_BOXES):
+            complex_searches.append({"id": f"item {index} box {','.join(f'{v:g}' for v in box)}",
+                                     "coeffs": coeffs, "box": list(box), "nearest": None})
     files = []
     for index in range(FILE_ITEMS):
         p = coefficient_params(1, index)
@@ -73,7 +88,7 @@ def answer_set() -> dict:
             "box": ",".join(f"{v:g}" for v in DET_BOX),
             "degree": p["degree"],
         })
-    return {"searches": searches, "files": files}
+    return {"det_roots": searches, "complex_roots": complex_searches, "files": files}
 
 
 def _mask(doc):
@@ -110,16 +125,18 @@ def answer(inputs: dict) -> dict:
 
         char_det._collect_roots = counted
 
-    searches, retried = {}, 0
-    for s in inputs["searches"]:
-        attempts.append(0)
-        prob = BoundaryPolynomialProblem(Polynomial(tuple(s["coeffs"])))
-        try:
-            spec = find_det_eigenvalues(prob, SearchBox(*s["box"]), 80, nearest=s["nearest"])
-            searches[s["id"]] = [[z.real, z.imag, m] for z, m in spec]
-        except Exception as err:  # an error is an answer too
-            searches[s["id"]] = f"{type(err).__name__}: {err}"
-        retried += attempts[-1] > 1
+    groups, retried = {"det_roots": {}, "complex_roots": {}}, 0
+    for group, searches in groups.items():
+        for s in inputs[group]:
+            attempts.append(0)
+            coeffs = tuple(complex(*c) if isinstance(c, list) else c for c in s["coeffs"])
+            prob = BoundaryPolynomialProblem(Polynomial(coeffs))
+            try:
+                spec = find_det_eigenvalues(prob, SearchBox(*s["box"]), 80, nearest=s["nearest"])
+                searches[s["id"]] = [[z.real, z.imag, m] for z, m in spec]
+            except Exception as err:  # an error is an answer too
+                searches[s["id"]] = f"{type(err).__name__}: {err}"
+            retried += attempts[-1] > 1
 
     files = {}
     with tempfile.TemporaryDirectory() as work:
@@ -138,8 +155,7 @@ def answer(inputs: dict) -> dict:
             for path in (roots, rec):
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(path)
-    return {"det_roots": searches, "det_files": files,
-            "retried": retried if collect is not None else None}
+    return {**groups, "det_files": files, "retried": retried if collect is not None else None}
 
 
 def _move(a, b) -> float:
@@ -168,7 +184,7 @@ def run_tree(src: Path, inputs: dict) -> dict:
 
 def compare(this: dict, rev: dict, tol: float) -> bool:
     ok = True
-    for group in ("det_roots", "det_files"):
+    for group in ("det_roots", "det_files", "complex_roots"):
         mine, theirs = this[group], rev[group]
         moves = {key: _move(mine[key], theirs[key]) for key in theirs}
         same = sum(m == 0.0 and mine[k] == theirs[k] for k, m in moves.items())
